@@ -7,7 +7,7 @@ Monte Carlo martingale harness).
 """
 
 from .scalars import COMPLEX, EXACT, Cyclo8, rational
-from .grassmann import GrassRing, GrassmannScalar, berezin, g_mul
+from .grassmann import GrassRing, GrassmannScalar, berezin
 from .superalgebra import (AlgebraElement, CriticalLevelError,
                            DegeneratePairingError, StructureData, bracket,
                            dual_basis, form, orthonormal_even_basis,
@@ -22,14 +22,13 @@ from .affine import (DepthOverflowError, Module, Vector, act_mode, act_word,
 from .nullscan import (candidate_psi, condition_one, condition_two,
                        direct_residuals, null_conditions)
 from .evolution import (FlowState, aut_to_virasoro, assemble_state_vector,
-                        cbh_product, even_step, flow_step, initial_state,
-                        loewner_step, odd_step, sde_terms)
+                        cbh_product, flow_step, initial_state, loewner_step,
+                        sde_terms)
 from .generator import ItoJet, JetRing, jet_state, state_drift
 from .matrixrep import BatchAssembler, MatrixModule
-from .observables import (current_via_module, dual_words,
-                          observable_current, observable_current_coefficients)
-from .harness import (ConfigError, DriverBundle, MartingaleReport, RunConfig,
-                      SimResult, martingale_seed_suite, martingale_test,
+from .observables import current_via_module, dual_words, observable_current
+from .harness import (ConfigError, MartingaleReport, RunConfig, SimResult,
+                      martingale_seed_suite, martingale_test,
                       parse_config_file, simulate, trace)
 
 __version__ = "0.1.0"

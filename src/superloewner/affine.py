@@ -25,7 +25,7 @@ over the coefficient ring (exact, complex, Grassmann-valued, Ito jets).
 from __future__ import annotations
 
 from .grassmann import GrassmannScalar
-from .scalars import Cyclo8, EXACT
+from .scalars import Cyclo8, EXACT, is_zero
 from .superalgebra import (CriticalLevelError, PARITY, SYMBOLS,
                            bracket_symbols, form_symbols)
 
@@ -127,7 +127,7 @@ class Module:
                 if pair:
                     central = ring.from_int(n * pair) * self.k
                     _acc(res, rest, central)
-        res = {m: c for m, c in res.items() if not _zero(c)}
+        res = {m: c for m, c in res.items() if not is_zero(c)}
         self._cache[key] = res
         return res
 
@@ -142,14 +142,6 @@ class Module:
 def _acc(d: dict, key, val):
     cur = d.get(key)
     d[key] = val if cur is None else cur + val
-
-
-def _zero(c) -> bool:
-    if hasattr(c, "is_zero"):
-        return c.is_zero()
-    if hasattr(c, "any"):
-        return not c.any()
-    return c == 0
 
 
 def _invert(x, ring):
@@ -169,7 +161,7 @@ class Vector:
 
     def __init__(self, module: Module, terms: dict):
         self.module = module
-        self.terms = {m: c for m, c in terms.items() if not _zero(c)}
+        self.terms = {m: c for m, c in terms.items() if not is_zero(c)}
 
     @staticmethod
     def floor_vector(module: Module) -> "Vector":
@@ -274,7 +266,7 @@ def sugawara(n: int, v: Vector, project: bool = False) -> Vector:
     """Virasoro mode L_n from the osp(1|2) Sugawara construction."""
     module = v.module
     ring = module.ring
-    if _zero(module.k * ring.from_int(2) + ring.from_int(3)):
+    if is_zero(module.k * ring.from_int(2) + ring.from_int(3)):
         raise CriticalLevelError("Sugawara undefined at k = -3/2")
     span = module.nrep + abs(n) + 2
     acc = Vector(module, {})
@@ -328,6 +320,6 @@ def conformal_weight(lam, k, ring=EXACT):
         k = ring.from_rational(k)
     denom = (k + ring.from_rational("3/2") if ring is EXACT
              else k + ring.from_int(3) / 2) * ring.from_int(4)
-    if _zero(denom):
+    if is_zero(denom):
         raise CriticalLevelError("critical level k = -3/2")
     return lam * (lam + ring.one) * _invert(denom, ring)

@@ -29,6 +29,12 @@ Two odd-sector variants ship:
 
 The even sector is common to both variants (signs as displayed; a
 global per-driver Brownian sign flip is law-preserving).
+
+The represented state [1 + L12 + L1 L2] e^{E x^E} e^{H x^H} e^{F x^F}
+Q(rho)|0> is written once, in `assemble`, over a back end that only
+applies weighted sums of modes: `assemble_state_vector` runs it on the
+exact dict engine of `affine`, and `matrixrep.BatchAssembler` on sparse
+matrices over a whole path batch.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from dataclasses import dataclass, replace
 
 from .affine import Module, Vector, act_mode, mode, sugawara
 from .grassmann import GrassmannScalar
-from .scalars import to_complex
+from .scalars import is_zero, to_complex
 from .series import (AutSeries, TailSeries, series_exp, series_inv_aut,
                      series_mul)
 from .superalgebra import bracket_symbols
@@ -180,28 +186,6 @@ def _stepped(series: TailSeries, term: dict, dt, incs: dict) -> TailSeries:
     return out
 
 
-def even_step(state: FlowState, dt, dB1, dB2, dB3, tau,
-              ring=None) -> tuple:
-    """One Euler-Maruyama step of (x^E, x^H, x^F); returns the new triple."""
-    ring = ring or state.rho.ring
-    terms = sde_terms(state, tau, ring)
-    incs = {"B1": dB1, "B2": dB2, "B3": dB3}
-    return tuple(_stepped(getattr(state, n), terms[n], dt, incs)
-                 for n in ("xE", "xH", "xF"))
-
-
-def odd_step(state: FlowState, dt, dBa, tau, ring=None,
-             variant: str = "derived", h12_literal: bool = False) -> tuple:
-    """One Euler-Maruyama step of the seven odd-sector processes."""
-    ring = ring or state.rho.ring
-    terms = sde_terms(state, tau, ring, variant=variant,
-                      h12_literal=h12_literal)
-    incs = {"Ba": dBa}
-    names = ("x1e", "x1f", "x2e", "x2f", "x12E", "x12H", "x12F")
-    return tuple(_stepped(getattr(state, n), terms[n], dt, incs)
-                 for n in names)
-
-
 def flow_step(state: FlowState, dt, incs: dict, tau, ring=None,
               variant: str = "derived", h12_literal: bool = False) -> FlowState:
     """Full simultaneous Euler step; incs maps driver name to increment."""
@@ -225,17 +209,9 @@ def _grass_parity_pure(series: TailSeries) -> bool:
     for cf in series.coeffs:
         if not isinstance(cf, GrassmannScalar):
             return False
-        if not (_gz(cf.comp[0]) and _gz(cf.comp[3])):
+        if not (is_zero(cf.comp[0]) and is_zero(cf.comp[3])):
             return False
     return True
-
-
-def _gz(x) -> bool:
-    if hasattr(x, "is_zero"):
-        return x.is_zero()
-    if hasattr(x, "any"):
-        return not x.any()
-    return x == 0
 
 
 def envelope_bracket(A: dict, B: dict) -> dict:
@@ -334,60 +310,65 @@ def aut_to_virasoro(rho: AutSeries) -> list:
 
 # -- represented state -----------------------------------------------------
 
-def _exp_apply(op, v: Vector, max_terms: int) -> Vector:
-    acc = v
-    term = v
+VIRASORO = "L"  # operator key (VIRASORO, j) stands for L_{-j}
+
+
+def _exp_apply(apply, pieces, v, max_terms: int):
+    """exp(sum c X) v as its nilpotent series, at most max_terms terms."""
+    acc = term = v
     for m in range(1, max_terms + 1):
-        term = op(term).scale(_inv_int(m, v.module.ring))
-        if term.is_zero():
+        term = apply([(op, c / m) for op, c in pieces], term)
+        if is_zero(term):
             break
         acc = acc + term
     return acc
 
 
-def _mode_sum_op(module: Module, pieces) -> callable:
-    """Operator w -> sum over (symbol, TailSeries) of X(-j)-weighted action."""
+def assemble(state: FlowState, apply, floor, nrep: int):
+    """[1 + L12 + L1 L2] e^{E x^E} e^{H x^H} e^{F x^F} Q(rho) floor.
 
-    def op(w: Vector) -> Vector:
-        acc = Vector(module, {})
-        for sym, series in pieces:
-            for j in range(1, min(series.order, module.nrep) + 1):
-                cf = series.coeffs[j - 1]
-                if _gz(cf):
-                    continue
-                acc = acc + act_mode(mode(sym, -j), w, project=True).scale(cf)
-        return acc
+    The one copy of the assembly formula.  A back end supplies the
+    floor vector and apply(pieces, w) = sum over ((symbol, j), c) of
+    c X(-j) w, with symbol VIRASORO meaning L_{-j}; operators reaching
+    past depth nrep are truncated, and only j <= min(order, nrep)
+    enters.
+    """
+    n = min(state.order, nrep)
 
-    return op
+    def pieces(*spec):
+        return [((sym, j), coeffs[j - 1])
+                for sym, coeffs in spec for j in range(1, n + 1)]
+
+    def coeffs(name):
+        return getattr(state, name).coeffs
+
+    v = _exp_apply(apply, pieces((VIRASORO, aut_to_virasoro(state.rho))),
+                   floor, nrep)
+    for sym in ("F", "H", "E"):
+        v = _exp_apply(apply, pieces((sym, coeffs("x" + sym))), v, nrep)
+    l2 = apply(pieces(("e", coeffs("x2e")), ("f", coeffs("x2f"))), v)
+    l1l2 = apply(pieces(("e", coeffs("x1e")), ("f", coeffs("x1f"))), l2)
+    l12 = apply(pieces(("E", coeffs("x12E")), ("H", coeffs("x12H")),
+                       ("F", coeffs("x12F"))), v)
+    return v + l12 + l1l2
 
 
 def assemble_state_vector(state: FlowState, module: Module) -> Vector:
     """Berezin projection of Theta1 Theta0 Q(rho)|0> against 1 + eta1 eta2.
 
-    Equals [1 + L12 + L1 L2] e^{E x^E} e^{H x^H} e^{F x^F} Q(rho) |0>
-    in the depth-truncated vacuum module (module.ring coefficients; no
-    Grassmann ring is needed after the projection).
+    `assemble` on the exact dict engine: the depth-truncated vacuum
+    module over module.ring (no Grassmann ring is needed after the
+    projection).
     """
-    nrep = module.nrep
-    v = Vector.floor_vector(module)
-    vs = aut_to_virasoro(state.rho)
 
-    def q_op(w: Vector) -> Vector:
+    def apply(pieces, w: Vector) -> Vector:
         acc = Vector(module, {})
-        for j, vj in enumerate(vs, start=1):
-            if j > nrep:
-                break
-            if _gz(vj):
+        for (sym, j), c in pieces:
+            if is_zero(c):
                 continue
-            acc = acc + sugawara(-j, w, project=True).scale(vj)
+            image = (sugawara(-j, w, project=True) if sym == VIRASORO
+                     else act_mode(mode(sym, -j), w, project=True))
+            acc = acc + image.scale(c)
         return acc
 
-    v = _exp_apply(q_op, v, nrep)
-    v = _exp_apply(_mode_sum_op(module, [("F", state.xF)]), v, nrep)
-    v = _exp_apply(_mode_sum_op(module, [("H", state.xH)]), v, nrep)
-    v = _exp_apply(_mode_sum_op(module, [("E", state.xE)]), v, nrep)
-    l1 = _mode_sum_op(module, [("e", state.x1e), ("f", state.x1f)])
-    l2 = _mode_sum_op(module, [("e", state.x2e), ("f", state.x2f)])
-    l12 = _mode_sum_op(module, [("E", state.x12E), ("H", state.x12H),
-                                ("F", state.x12F)])
-    return v + l12(v) + l1(l2(v))
+    return assemble(state, apply, Vector.floor_vector(module), module.nrep)

@@ -26,6 +26,7 @@ from __future__ import annotations
 from .affine import Module, Vector
 from .evolution import (DRIVERS, FlowState, assemble_state_vector, sde_terms,
                         PROCESS_NAMES)
+from .scalars import is_zero
 from .series import AutSeries, TailSeries, series_inv_aut
 
 
@@ -101,8 +102,8 @@ class ItoJet:
                       self.spec)
 
     def is_zero(self) -> bool:
-        return (_z(self.val) and _z(self.dt)
-                and all(_z(x) for x in self.b))
+        return (is_zero(self.val) and is_zero(self.dt)
+                and all(is_zero(x) for x in self.b))
 
     def __eq__(self, other):
         o = self._lift(other)
@@ -113,10 +114,6 @@ class ItoJet:
 
     def __repr__(self):
         return f"Jet(val={self.val}, dt={self.dt}, b={self.b})"
-
-
-def _z(x) -> bool:
-    return x.is_zero() if hasattr(x, "is_zero") else x == 0
 
 
 class JetRing:

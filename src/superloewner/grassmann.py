@@ -11,6 +11,8 @@ int deta2 deta1 (eta1 eta2) = 1: it reads off the top component.
 
 from __future__ import annotations
 
+from .scalars import is_zero
+
 # basis index is a bitmask: bit0 = eta1 present, bit1 = eta2 present
 _BASIS_NAMES = ("1", "eta1", "eta2", "eta1*eta2")
 
@@ -89,34 +91,24 @@ class GrassmannScalar:
         return hash(self.comp)
 
     def is_zero(self) -> bool:
-        return all(_is_zero(c) for c in self.comp)
+        return all(is_zero(c) for c in self.comp)
 
     def parity(self) -> int:
         """0 or 1 for homogeneous elements; raises otherwise."""
-        even = not (_is_zero(self.comp[0]) and _is_zero(self.comp[3]))
-        odd = not (_is_zero(self.comp[1]) and _is_zero(self.comp[2]))
+        even = not (is_zero(self.comp[0]) and is_zero(self.comp[3]))
+        odd = not (is_zero(self.comp[1]) and is_zero(self.comp[2]))
         if even and odd:
             raise ValueError("inhomogeneous Grassmann element has no parity")
         return 1 if odd else 0
 
     def __repr__(self):
         parts = [f"({c})*{n}" for c, n in zip(self.comp, _BASIS_NAMES)
-                 if not _is_zero(c)]
+                 if not is_zero(c)]
         return " + ".join(parts) if parts else "0"
 
 
-def _is_zero(c) -> bool:
-    if hasattr(c, "is_zero"):
-        return c.is_zero()
-    return c == 0
-
-
 def _eq(x, y) -> bool:
-    return _is_zero(x - y)
-
-
-def g_mul(a: GrassmannScalar, b: GrassmannScalar) -> GrassmannScalar:
-    return a * b
+    return is_zero(x - y)
 
 
 def berezin(a: GrassmannScalar):

@@ -24,18 +24,17 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .evolution import FlowState, PROCESS_NAMES, aut_to_virasoro, flow_step, initial_state
+from .evolution import FlowState, PROCESS_NAMES, flow_step
 from .matrixrep import BatchAssembler, MatrixModule
 from .observables import dual_words, observable_current
 from .scalars import COMPLEX
 from .series import AutSeries, TailSeries
-
-_RHO_COLS = ("a0",) + tuple(f"am{j}" for j in range(1, 64))
 
 
 class ConfigError(ValueError):
@@ -86,6 +85,19 @@ class RunConfig:
             raise ConfigError("need at least one path")
         if self.t_max < 0:
             raise ConfigError("t_max must be nonnegative")
+        if not 1 <= self.word_depth <= self.depth:
+            raise ConfigError(f"word_depth must lie in [1, depth = "
+                              f"{self.depth}], got {self.word_depth}")
+        times = [("t_max", self.t_max)]
+        times += [("checkpoint", t) for t in self.checkpoints]
+        for name, t in times:
+            steps = t / self.dt
+            if not math.isclose(steps, round(steps), rel_tol=1e-9):
+                raise ConfigError(f"{name} {t} is not a whole number of "
+                                  f"steps of dt = {self.dt}")
+            if not 0 <= t <= self.t_max:
+                raise ConfigError(f"{name} {t} lies outside [0, t_max = "
+                                  f"{self.t_max}]")
         if self.format not in ("csv", "json"):
             raise ConfigError(f"unknown format {self.format!r}")
         if self.variant not in ("derived", "displayed"):
@@ -132,26 +144,6 @@ def parse_config_file(path: str) -> dict:
     if bad:
         raise ConfigError(f"unknown config keys: {sorted(bad)}")
     return values
-
-
-class DriverBundle:
-    """Per-path Brownian increment stream (seeded, reproducible).
-
-    Increment variances follow the covariance convention of the flow:
-    dB0 ~ N(0, kappa dt) and the four internal drivers ~ N(0, tau dt).
-    """
-
-    def __init__(self, master_seed: int, path_index: int, dt: float,
-                 kappa: float, tau: float):
-        self.seed = (master_seed, path_index)
-        self.dt = dt
-        self.scales = np.sqrt(np.array([kappa, tau, tau, tau, tau]) * dt)
-        self._rng = np.random.default_rng(
-            np.random.SeedSequence(master_seed, spawn_key=(path_index,)))
-
-    def increments(self, nsteps: int) -> np.ndarray:
-        """(nsteps, 5) array of (dB0, dB1, dB2, dB3, dBa)."""
-        return self._rng.standard_normal((nsteps, 5)) * self.scales
 
 
 class BlockDrivers:
@@ -242,14 +234,7 @@ def batch_observables(state: FlowState, cfg: RunConfig,
     for n in range(1, cfg.order):
         out[f"current[E,n={n}]"] = np.asarray(o.coeff(-n - 1)) \
             + np.zeros(cfg.paths, dtype=complex)
-    vir = aut_to_virasoro(state.rho)
-    virc = np.array([np.asarray(v) + np.zeros(cfg.paths, dtype=complex)
-                     for v in vir])
-    series = {name: np.array([np.asarray(c) + np.zeros(cfg.paths,
-                                                       dtype=complex)
-                              for c in getattr(state, name).coeffs])
-              for name in PROCESS_NAMES}
-    block = assembler.assemble(virc, series)
+    block = assembler.assemble(state, cfg.paths)
     for name, w in dual_words(cfg.word_depth):
         row = assembler.mm.word_row(w)
         out[f"word[{name}]"] = row @ block
@@ -285,11 +270,11 @@ class MartingaleReport:
     dropped_paths: int = 0
 
     def all_pass(self) -> bool:
-        return all(c.passed for c in self.cells)
+        return bool(self.cells) and all(c.passed for c in self.cells)
 
     def pass_rate(self) -> float:
         if not self.cells:
-            return 1.0
+            return 0.0
         return sum(c.passed for c in self.cells) / len(self.cells)
 
     def to_json(self) -> dict:
@@ -331,10 +316,10 @@ def martingale_test(cfg: RunConfig, warn_paths: int = 100) -> MartingaleReport:
                       % warn_paths, stacklevel=2)
     if not cfg.checkpoints:
         cfg = dataclasses.replace(cfg, checkpoints=(cfg.t_max,))
+    if min(cfg.checkpoints) <= 0:
+        raise ConfigError("martingale checkpoints must lie in (0, t_max]")
     sim = simulate(cfg)
-    mm = MatrixModule(cfg.k, cfg.depth,
-                      exact=float(cfg.k) == float(Fraction(cfg.k)
-                                                  .limit_denominator(1000)))
+    mm = MatrixModule(cfg.k, cfg.depth)
     assembler = BatchAssembler(mm, cfg.order)
     refs = t0_observable_values(cfg)
     report = MartingaleReport(config=cfg)
@@ -377,7 +362,7 @@ def martingale_seed_suite(cfg: RunConfig, seeds) -> dict:
         per_seed.append({"seed": seed, "pass_rate": rep.pass_rate(),
                          "all_pass": rep.all_pass()})
     return {"seeds": per_seed, "cells": total, "passed": passed,
-            "pass_rate": passed / total if total else 1.0}
+            "pass_rate": passed / total if total else 0.0}
 
 
 # -- pointwise trace -------------------------------------------------------
@@ -441,7 +426,8 @@ def trace(cfg: RunConfig, record_every: int = 25) -> TraceResult:
 def trajectory_columns(order: int) -> list:
     cols = ["t"]
     for j in range(order + 1):
-        cols += [f"rho.{_RHO_COLS[j]}.re", f"rho.{_RHO_COLS[j]}.im"]
+        slot = f"am{j}" if j else "a0"
+        cols += [f"rho.{slot}.re", f"rho.{slot}.im"]
     for name in PROCESS_NAMES:
         for j in range(1, order + 1):
             cols += [f"{name}.m{j}.re", f"{name}.m{j}.im"]

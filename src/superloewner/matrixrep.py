@@ -3,13 +3,16 @@
 The depth-truncated vacuum module is finite dimensional (228 states at
 depth bound 4), so the per-path state assembly reduces to sparse
 matrix-vector work: enumerate the canonical PBW basis once, build the
-matrices of X(-j) and L_{-j} with the exact dict engine, cast them to
-complex, and evaluate the exponential factors as short nilpotent series
-on a (dim, paths) coefficient block.  Dual-word functionals become
-precomputed rows.
+matrices of X(-j) and L_{-j} with the exact dict engine and cast them to
+complex.  `BatchAssembler` then runs the one assembly formula,
+`evolution.assemble`, on a (dim, paths) coefficient block; its `apply`
+back end is a sum of matrix products weighted by per-path coefficients.
+Dual-word functionals become precomputed rows.
 
-Matrices are built at an exact rational level k when possible so the
-only float error in an observable is the final cast.
+The matrices are built at an exact rational level k when k is given
+exactly (int, str or Fraction) or is a float equal to a rational of
+denominator at most 1000, so the only float error in an observable is
+the final cast; any other k is built in complex floats.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from fractions import Fraction
 import numpy as np
 import scipy.sparse as sp
 
-from .affine import Module, Vector, act_mode, mode, sugawara
+from . import evolution
+from .affine import Module, Vector, act_mode, act_word, mode, sugawara
 from .scalars import COMPLEX, EXACT, to_complex
 from .superalgebra import SYMBOLS
 
@@ -46,20 +50,25 @@ def _basis_monomials(nrep: int) -> list:
     return sorted(set(out), key=lambda m: (len(m), m))
 
 
+def _exact_level(k):
+    """Exact value of the level k, or None when k is built in floats."""
+    if isinstance(k, (int, str, Fraction)):
+        return Fraction(k)
+    near = Fraction(k).limit_denominator(1000)
+    return near if float(near) == k else None
+
+
 class MatrixModule:
     """Sparse matrices of the mode and Virasoro operators at level k."""
 
-    def __init__(self, k, nrep: int, exact: bool = True):
+    def __init__(self, k, nrep: int):
         self.nrep = nrep
-        if exact:
-            ring = EXACT
-            kval = ring.from_rational(k if isinstance(k, (int, str, Fraction))
-                                      else Fraction(k).limit_denominator(10**6))
+        exact = _exact_level(k)
+        if exact is None:
+            self._module = Module(COMPLEX, complex(k), nrep)
         else:
-            ring = COMPLEX
-            kval = complex(k)
-        self._module = Module(ring, kval, nrep)
-        self.k = to_complex(kval)
+            self._module = Module(EXACT, EXACT.from_rational(exact), nrep)
+        self.k = to_complex(self._module.k)
         self.basis = _basis_monomials(nrep)
         self.index = {m: i for i, m in enumerate(self.basis)}
         self.dim = len(self.basis)
@@ -97,11 +106,7 @@ class MatrixModule:
         """Row vector of the functional <0| word . |0> on the basis."""
         row = np.zeros(self.dim, dtype=complex)
         for j, mono in enumerate(self.basis):
-            v = self._vector_of(mono)
-            for m in reversed(list(word)):
-                v = act_mode(m, v, project=True)
-                if v.is_zero():
-                    break
+            v = act_word(word, self._vector_of(mono), project=True)
             row[j] = to_complex(v.floor_coeff())
         return row
 
@@ -111,29 +116,12 @@ class MatrixModule:
         return block
 
 
-def _weighted_apply(mats_and_coeffs, block: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(block)
-    for mat, coeff in mats_and_coeffs:
-        out += (mat @ block) * coeff[None, :]
-    return out
-
-
-def _exp_apply(mats_and_coeffs, block: np.ndarray, max_terms: int) -> np.ndarray:
-    acc = block.copy()
-    term = block
-    for m in range(1, max_terms + 1):
-        term = _weighted_apply(mats_and_coeffs, term) / m
-        if not term.any():
-            break
-        acc += term
-    return acc
-
-
 class BatchAssembler:
     """Assemble Berezin-projected states for a whole path batch at once.
 
-    Series coefficients arrive as arrays of shape (order, paths): entry
-    [j-1, p] is the zeta^{-j} coefficient of path p.
+    The batch FlowState carries numpy arrays over paths (or scalars) as
+    series coefficients; `assemble` returns the (dim, paths) block whose
+    column p is the state of path p on the basis of `mm`.
     """
 
     def __init__(self, mm: MatrixModule, order: int):
@@ -144,29 +132,13 @@ class BatchAssembler:
                           for j in range(1, self.order + 1)]
                       for s in SYMBOLS}
 
-    def _pairs(self, spec):
-        out = []
-        for sym, coeffs in spec:
-            mats = self.modes[sym]
-            for j in range(self.order):
-                out.append((mats[j], coeffs[j]))
+    def _apply(self, pieces, block: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(block)
+        for (sym, j), c in pieces:
+            mats = self.vir if sym == evolution.VIRASORO else self.modes[sym]
+            out += (mats[j - 1] @ block) * c
         return out
 
-    def assemble(self, virasoro_coeffs, series: dict) -> np.ndarray:
-        """virasoro_coeffs: (order, P); series: name -> (order, P) arrays."""
-        paths = virasoro_coeffs.shape[1]
-        block = self.mm.floor_block(paths)
-        nrep = self.mm.nrep
-        vir_pairs = [(self.vir[j], virasoro_coeffs[j])
-                     for j in range(self.order)]
-        block = _exp_apply(vir_pairs, block, nrep)
-        for sym, name in (("F", "xF"), ("H", "xH"), ("E", "xE")):
-            block = _exp_apply(self._pairs([(sym, series[name])]), block, nrep)
-        l2 = _weighted_apply(self._pairs([("e", series["x2e"]),
-                                          ("f", series["x2f"])]), block)
-        l1l2 = _weighted_apply(self._pairs([("e", series["x1e"]),
-                                            ("f", series["x1f"])]), l2)
-        l12 = _weighted_apply(self._pairs([("E", series["x12E"]),
-                                           ("H", series["x12H"]),
-                                           ("F", series["x12F"])]), block)
-        return block + l12 + l1l2
+    def assemble(self, state, paths: int) -> np.ndarray:
+        return evolution.assemble(state, self._apply,
+                                  self.mm.floor_block(paths), self.mm.nrep)

@@ -56,12 +56,6 @@ def observable_current(state: FlowState, k, ring) -> TailSeries:
     return out
 
 
-def observable_current_coefficients(state: FlowState, k, ring) -> list:
-    """[(n, coeff of z^{-n-1})] for n = 1..N-1 (order-exact window)."""
-    o = observable_current(state, k, ring)
-    return [(n, o.coeff(-n - 1)) for n in range(1, state.order)]
-
-
 def current_via_module(state: FlowState, module: Module, n: int):
     """Oracle route: <0| E(n) assemble_state_vector(state) |0>."""
     v = assemble_state_vector(state, module)
@@ -76,11 +70,3 @@ def dual_words(depth: int = 2) -> list:
             words.append((f"{s}({n})", (mode(s, n),)))
     return words
 
-
-def dual_word_values(state: FlowState, module: Module, words=None) -> dict:
-    """{name: <0|word assemble_state_vector(state)>} over the word family."""
-    v = assemble_state_vector(state, module)
-    out = {}
-    for name, w in (words or dual_words()):
-        out[name] = expectation(w, v)
-    return out

@@ -245,3 +245,12 @@ COMPLEX = Ring(
 
 def to_complex(v) -> complex:
     return v.to_complex() if isinstance(v, Cyclo8) else complex(v)
+
+
+def is_zero(c) -> bool:
+    """Zero test for any coefficient the generic engines carry."""
+    if hasattr(c, "is_zero"):
+        return c.is_zero()
+    if hasattr(c, "any"):  # numpy array coefficients
+        return not c.any()
+    return c == 0

@@ -21,6 +21,8 @@ a silently wrong top coefficient.
 
 from __future__ import annotations
 
+from .scalars import is_zero
+
 
 class SeriesOrderError(ValueError):
     pass
@@ -78,7 +80,7 @@ class TailSeries:
         return self.scale(other)
 
     def is_zero(self):
-        return all(_zero(c) for c in self.coeffs)
+        return all(is_zero(c) for c in self.coeffs)
 
     def coeff(self, power):
         """Coefficient of zeta^{power}; zero outside the stored window."""
@@ -89,7 +91,7 @@ class TailSeries:
 
     def __repr__(self):
         terms = [f"({c})*z^{-(j + 1)}" for j, c in enumerate(self.coeffs)
-                 if not _zero(c)]
+                 if not is_zero(c)]
         return " + ".join(terms) if terms else "0"
 
 
@@ -173,22 +175,14 @@ class AutSeries:
         return TailSeries(c, self.ring)
 
     def is_identity(self):
-        return all(_zero(c) for c in self.coeffs)
+        return all(is_zero(c) for c in self.coeffs)
 
     def __repr__(self):
         terms = ["z"]
         for j, c in enumerate(self.coeffs):
-            if not _zero(c):
+            if not is_zero(c):
                 terms.append(f"({c})*z^{-j}" if j else f"({c})")
         return " + ".join(terms)
-
-
-def _zero(c) -> bool:
-    if hasattr(c, "is_zero"):
-        return c.is_zero()
-    if hasattr(c, "any"):  # numpy array coefficients
-        return not c.any()
-    return c == 0
 
 
 def series_mul(a: TailSeries, b: TailSeries) -> TailSeries:
@@ -198,12 +192,12 @@ def series_mul(a: TailSeries, b: TailSeries) -> TailSeries:
     ring = a.ring
     out = [ring.zero] * n
     for i, ca in enumerate(a.coeffs):
-        if _zero(ca):
+        if is_zero(ca):
             continue
         # zeta^{-(i+1)} * zeta^{-(j+1)} = zeta^{-(i+j+2)}
         for j in range(n - i - 2 + 1):
             cb = b.coeffs[j]
-            if _zero(cb):
+            if is_zero(cb):
                 continue
             out[i + j + 1] = out[i + j + 1] + ca * cb
     return TailSeries(out, ring)
@@ -268,7 +262,7 @@ def substitute(a: TailSeries, rho: AutSeries) -> TailSeries:
     for j in range(1, a.order + 1):
         upow = u if upow is None else series_mul(upow, u)
         c = a.coeffs[j - 1]
-        if not _zero(c):
+        if not is_zero(c):
             out = out + upow.scale(c)
     return out
 
@@ -281,7 +275,7 @@ def aut_compose(rho: AutSeries, mu: AutSeries) -> AutSeries:
     out[0] = out[0] + mu.coeffs[0]
     tail_part = substitute(
         TailSeries([ring.zero] * rho.order, ring)
-        if all(_zero(c) for c in mu.coeffs[1:])
+        if all(is_zero(c) for c in mu.coeffs[1:])
         else TailSeries(list(mu.coeffs[1:]), ring),
         rho)
     res = AutSeries(out, ring)
@@ -306,4 +300,4 @@ def series_equal(a, b) -> bool:
         return False
     ca = a.coeffs if not isinstance(a, ExpSeries) else a.tail.coeffs
     cb = b.coeffs if not isinstance(b, ExpSeries) else b.tail.coeffs
-    return all(_zero(x - y) for x, y in zip(ca, cb))
+    return all(is_zero(x - y) for x, y in zip(ca, cb))

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .scalars import EXACT, Ring
+from .scalars import EXACT, Ring, is_zero
 
 SYMBOLS = ("E", "H", "F", "e", "f")
 PARITY = {"E": 0, "H": 0, "F": 0, "e": 1, "f": 1}
@@ -83,7 +83,7 @@ class AlgebraElement:
 
     def __init__(self, coeffs: dict, ring: Ring = EXACT):
         self.ring = ring
-        self.coeffs = {s: c for s, c in coeffs.items() if not _zero(c)}
+        self.coeffs = {s: c for s, c in coeffs.items() if not is_zero(c)}
 
     @staticmethod
     def basis(symbol: str, ring: Ring = EXACT) -> "AlgebraElement":
@@ -117,7 +117,7 @@ class AlgebraElement:
             return NotImplemented
         keys = set(self.coeffs) | set(other.coeffs)
         z = self.ring.zero
-        return all(_zero(self.coeffs.get(k, z) - other.coeffs.get(k, z))
+        return all(is_zero(self.coeffs.get(k, z) - other.coeffs.get(k, z))
                    for k in keys)
 
     def __hash__(self):
@@ -137,12 +137,6 @@ class AlgebraElement:
             return "0"
         return " + ".join(f"({c})*{s}" for s, c in
                           sorted(self.coeffs.items(), key=lambda t: _IDX[t[0]]))
-
-
-def _zero(c) -> bool:
-    if hasattr(c, "is_zero"):
-        return c.is_zero()
-    return c == 0
 
 
 def bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
@@ -177,7 +171,8 @@ def dual_basis(basis: Sequence[AlgebraElement]) -> list:
     aug = [row[:] + [ring.one if j == i else ring.zero for j in range(n)]
            for i, row in enumerate(gram)]
     for col in range(n):
-        piv = next((r for r in range(col, n) if not _zero(aug[r][col])), None)
+        piv = next((r for r in range(col, n) if not is_zero(aug[r][col])),
+                   None)
         if piv is None:
             raise DegeneratePairingError("form is degenerate on the span")
         aug[col], aug[piv] = aug[piv], aug[col]
@@ -185,7 +180,7 @@ def dual_basis(basis: Sequence[AlgebraElement]) -> list:
             else 1 / aug[col][col]
         aug[col] = [v * inv for v in aug[col]]
         for r in range(n):
-            if r != col and not _zero(aug[r][col]):
+            if r != col and not is_zero(aug[r][col]):
                 fac = aug[r][col]
                 aug[r] = [vr - fac * vc for vr, vc in zip(aug[r], aug[col])]
     # X^b = sum_a (G^{-1})_{ab} X_a solves form(X_a, X^b) = delta_ab;
@@ -260,7 +255,7 @@ def structure_constants(k, ring: Ring = EXACT) -> StructureData:
     h_vee = ring.from_rational("3/2") if ring is EXACT \
         else ring.from_int(3) / 2
     denom = k + h_vee
-    if _zero(denom):
+    if is_zero(denom):
         raise CriticalLevelError("critical level k = -3/2")
     c_k = k / denom
     tau = ring.from_int(2) / denom

@@ -6,9 +6,8 @@ import pytest
 from superloewner.affine import Module, Vector, act_mode, act_word, mode
 from superloewner.evolution import (NonNilpotentInputError,
                                     assemble_state_vector, aut_to_virasoro,
-                                    cbh_product, even_step, flow_step,
-                                    initial_state, loewner_step, odd_step,
-                                    sde_terms, sugawara)
+                                    cbh_product, flow_step, initial_state,
+                                    loewner_step, sde_terms, sugawara)
 from superloewner.grassmann import GrassRing
 from superloewner.scalars import EXACT, rational
 from superloewner.series import (AutSeries, TailSeries, series_equal,
@@ -55,12 +54,19 @@ def test_loewner_two_steps_zero_noise():
     assert rho.coeff(0) == R.zero and rho.coeff(-2) == R.zero
 
 
+def step(s, dt, tau, variant="derived", **incs):
+    """flow_step with every driver increment not given set to zero."""
+    zero = {d: R.zero for d in ("B0", "B1", "B2", "B3", "Ba")}
+    return flow_step(s, dt, zero | incs, tau, variant=variant)
+
+
 def test_even_step_at_time_zero():
     s = state()
     tau = rational("4/5")
     dt, dB1, dB2, dB3 = (rational("1/10"), rational("1/2"),
                          rational("1/3"), rational("1/7"))
-    xE, xH, xF = even_step(s, dt, dB1, dB2, dB3, tau)
+    out = step(s, dt, tau, B1=dB1, B2=dB2, B3=dB3)
+    xE, xH, xF = out.xE, out.xH, out.xF
     isq = R.one / R.sqrt2
     # dx^H = -(tau/2) z^-2 dt - (1/sqrt2) z^-1 dB1
     assert xH.coeff(-1) == -isq * dB1
@@ -76,8 +82,9 @@ def test_odd_step_at_time_zero_displayed_variant():
     s = state()
     tau = rational("4/5")
     dt, dBa = rational("1/10"), rational("1/3")
-    x1e, x1f, x2e, x2f, x12E, x12H, x12F = odd_step(
-        s, dt, dBa, tau, variant="displayed")
+    out = step(s, dt, tau, variant="displayed", Ba=dBa)
+    x1e, x1f, x2e, x2f = out.x1e, out.x1f, out.x2e, out.x2f
+    x12E, x12H, x12F = out.x12E, out.x12H, out.x12F
     sq2 = R.sqrt2
     assert x1e.coeff(-1) == sq2 * dBa
     assert x2f.coeff(-1) == sq2 * dBa
@@ -90,7 +97,9 @@ def test_odd_step_at_time_zero_derived_variant():
     s = state()
     tau = rational("4/5")
     dt, dBa = rational("1/10"), rational("1/3")
-    x1e, x1f, x2e, x2f, x12E, x12H, x12F = odd_step(s, dt, dBa, tau)
+    out = step(s, dt, tau, Ba=dBa)
+    x1e, x1f, x2e, x2f = out.x1e, out.x1f, out.x2e, out.x2f
+    x12E, x12H, x12F = out.x12E, out.x12H, out.x12F
     isq = R.one / R.sqrt2
     assert x1f.coeff(-1) == isq * dBa
     assert x2e.coeff(-1) == isq * dBa
@@ -101,10 +110,9 @@ def test_odd_step_at_time_zero_derived_variant():
 
 def test_no_increment_no_change():
     s = state(xF=tail(["1/3"]), x2f=tail(["1/9", "2/7"]))
-    out = odd_step(s, R.zero, R.zero, rational("4/5"))
-    for got, name in zip(out, ("x1e", "x1f", "x2e", "x2f",
-                               "x12E", "x12H", "x12F")):
-        assert series_equal(got, getattr(s, name)), name
+    out = step(s, R.zero, rational("4/5"))
+    for name in ("x1e", "x1f", "x2e", "x2f", "x12E", "x12H", "x12F"):
+        assert series_equal(getattr(out, name), getattr(s, name)), name
 
 
 def test_h12_literal_switch_changes_diffusion():

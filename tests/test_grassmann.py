@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from superloewner.grassmann import GrassRing, berezin, g_mul
+from superloewner.grassmann import GrassRing, berezin
 from superloewner.scalars import EXACT, rational
 
 G = GrassRing(EXACT)
@@ -90,6 +90,3 @@ def test_parity_error_on_mixed():
     with pytest.raises(ValueError):
         (G.one + G.eta1).parity()
 
-
-def test_g_mul_alias():
-    assert g_mul(G.eta1, G.eta2) == G.eta12

@@ -6,8 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from superloewner.harness import (BlockDrivers, ConfigError, DriverBundle,
-                                  RunConfig, martingale_test,
+from superloewner.harness import (BlockDrivers, ConfigError,
+                                  MartingaleReport, RunConfig,
+                                  martingale_seed_suite, martingale_test,
                                   parse_config_file, simulate, trace,
                                   trajectory_columns, trajectory_rows,
                                   write_csv)
@@ -31,9 +32,40 @@ def test_config_validation():
         RunConfig(kappa=-0.5).validate()
     with pytest.raises(ConfigError):
         RunConfig(format="yaml").validate()
+    # a statistic past the module depth would read 0 with se 0 and pass
+    with pytest.raises(ConfigError):
+        RunConfig(depth=2, word_depth=3).validate()
+    with pytest.raises(ConfigError):
+        RunConfig(word_depth=0).validate()
     # degenerate but documented configurations are accepted
     RunConfig(tau=0.0).validate()
     RunConfig(kappa=0.0).validate()
+    RunConfig(depth=2, word_depth=2).validate()
+
+
+def test_times_off_the_step_grid_are_rejected():
+    # dt = 0.003 would silently record t = 0.006 and 0.009
+    with pytest.raises(ConfigError, match="whole number of steps"):
+        simulate(RunConfig(dt=0.003, t_max=0.01, paths=2,
+                           checkpoints=(0.005, 0.01)))
+    with pytest.raises(ConfigError, match="whole number of steps"):
+        RunConfig(dt=0.003, t_max=0.009, checkpoints=(0.005,)).validate()
+    # grid times that are inexact in binary floating point still pass
+    RunConfig(dt=1e-3, t_max=0.1, checkpoints=(0.1,)).validate()
+    RunConfig(dt=1e-4, t_max=0.09, checkpoints=(0.05,)).validate()
+
+
+def test_martingale_gate_never_passes_vacuously():
+    with pytest.raises(ConfigError):
+        martingale_test(small_cfg(t_max=0.05, checkpoints=(0.5,)))
+    with pytest.raises(ConfigError):
+        martingale_test(small_cfg(t_max=0.0, checkpoints=()))
+    with pytest.raises(ConfigError):
+        martingale_test(small_cfg(checkpoints=(0.0, 0.02)))
+    empty = MartingaleReport(config=small_cfg())
+    assert not empty.all_pass() and empty.pass_rate() == 0.0
+    suite = martingale_seed_suite(small_cfg(), seeds=())
+    assert suite["cells"] == 0 and suite["pass_rate"] == 0.0
 
 
 def test_config_file_roundtrip(tmp_path):
@@ -54,16 +86,19 @@ def test_config_file_roundtrip(tmp_path):
         parse_config_file(str(p2))
 
 
-def test_driver_bundle_reproducible():
-    a = DriverBundle(42, 7, 1e-3, 2.0, 0.8).increments(50)
-    b = DriverBundle(42, 7, 1e-3, 2.0, 0.8).increments(50)
+def test_block_drivers_reproducible():
+    def steps(seed):
+        drv = BlockDrivers(seed, 50, 1e-3, 2.0, 0.8)
+        return np.array([list(drv.step().values()) for _ in range(3)])
+
+    a, b = steps(42), steps(42)
     assert np.array_equal(a, b)
-    c = DriverBundle(42, 8, 1e-3, 2.0, 0.8).increments(50)
+    c = steps(43)
     assert not np.array_equal(a, c)
     # covariance convention: Var(dB0) = kappa dt, others tau dt
-    big = DriverBundle(1, 0, 1e-2, 4.0, 1.0).increments(200000)
-    assert abs(big[:, 0].var() - 0.04) < 0.002
-    assert abs(big[:, 3].var() - 0.01) < 0.0005
+    big = BlockDrivers(1, 200000, 1e-2, 4.0, 1.0).step()
+    assert abs(big["B0"].var() - 0.04) < 0.002
+    assert abs(big["B3"].var() - 0.01) < 0.0005
 
 
 def test_simulate_t_max_zero():
@@ -193,6 +228,13 @@ def test_trajectory_csv_schema(tmp_path):
     assert cols[1] == "rho.a0.re" and cols[2] == "rho.a0.im"
     assert "xE.m1.re" in cols and "x12F.m4.im" in cols
     assert all(len(r) == len(cols) for r in rows)
+    # rho slot names have no upper limit on the order and keep the
+    # published names a0, am1 .. am63
+    slots = ["a0"] + [f"am{j}" for j in range(1, 64)]
+    assert trajectory_columns(63)[1:129:2] == [f"rho.{s}.re" for s in slots]
+    wide = trajectory_columns(70)
+    assert wide[2 * 70 + 1:2 * 70 + 3] == ["rho.am70.re", "rho.am70.im"]
+    assert len(wide) == 1 + 2 * 71 + 2 * 10 * 70
     out = tmp_path / "traj.csv"
     write_csv(str(out), cols, rows)
     text = out.read_text().splitlines()
@@ -231,6 +273,11 @@ def test_cli_exit_codes(tmp_path):
     bad.write_text("dt = -1\n")
     r = _run_cli("--config", str(bad), "simulate")
     assert r.returncode == 2
+    # a gate with no cells to test is a config error, not a pass
+    for flags in (("--t-max", "0.05", "--checkpoints", "0.5"),
+                  ("--t-max", "0")):
+        r = _run_cli("martingale-test", "--paths", "200", *flags)
+        assert r.returncode == 2 and "config error" in r.stderr, flags
 
 
 def test_cli_simulate_determinism(tmp_path):

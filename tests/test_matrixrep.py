@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from superloewner.affine import Module, expectation
-from superloewner.evolution import (assemble_state_vector, aut_to_virasoro,
-                                    initial_state)
+from superloewner.evolution import assemble_state_vector, initial_state
 from superloewner.matrixrep import (BatchAssembler, MatrixModule,
                                     _basis_monomials)
 from superloewner.observables import dual_words
-from superloewner.scalars import EXACT, rational, to_complex
+from superloewner.scalars import COMPLEX, EXACT, rational, to_complex
 from superloewner.series import AutSeries, TailSeries
 
 R = EXACT
@@ -49,11 +48,13 @@ def test_matrix_route_matches_dict_route(mm):
                      **{n: tail() for n in names})
         v_exact = assemble_state_vector(st, Module(R, rational(1), N))
         ba = BatchAssembler(mm, N)
-        virc = np.array([[to_complex(v)] for v in aut_to_virasoro(st.rho)])
-        series = {n: np.array([[to_complex(c)]
-                               for c in getattr(st, n).coeffs])
-                  for n in names}
-        block = ba.assemble(virc, series)
+        # the same state as a one-path batch: coefficients are arrays
+        batch = replace(st, rho=AutSeries(
+            [np.array([to_complex(c)]) for c in rho.coeffs], COMPLEX),
+            **{n: TailSeries([np.array([to_complex(c)])
+                              for c in getattr(st, n).coeffs], COMPLEX)
+               for n in names})
+        block = ba.assemble(batch, 1)
         for i, mono in enumerate(mm.basis):
             assert abs(block[i, 0] - to_complex(v_exact.coeff(mono))) < 1e-12
 
@@ -72,10 +73,17 @@ def test_mode_matrix_nilpotency(mm):
 
 
 def test_float_level_module():
-    mmf = MatrixModule(0.737, 2, exact=False)
+    k = 0.5 ** 0.5  # no small-denominator rational: built in floats
+    mmf = MatrixModule(k, 2)
+    assert mmf._module.ring is COMPLEX
     assert mmf.dim == 24
     row = mmf.word_row(((0, 1),))  # <0|E(1)
     f_col = mmf.mode_matrix("F", -1)
     vec = f_col @ mmf.floor_block(1)
     # <0|E(1)F(-1)|0> = k
-    assert abs(row @ vec[:, 0] - 0.737) < 1e-12
+    assert abs(row @ vec[:, 0] - k) < 1e-12
+
+
+def test_rational_level_module_is_exact():
+    assert MatrixModule(0.737, 2)._module.ring is EXACT
+    assert MatrixModule(1, 2)._module.k == rational(1)

@@ -2,11 +2,10 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
-from superloewner.affine import Module
-from superloewner.evolution import initial_state
+from superloewner.affine import Module, expectation
+from superloewner.evolution import assemble_state_vector, initial_state
 from superloewner.observables import (current_via_module, dual_words,
-                                      dual_word_values, observable_current,
-                                      observable_current_coefficients)
+                                      observable_current)
 from superloewner.scalars import EXACT, rational
 from superloewner.series import AutSeries, TailSeries
 
@@ -74,12 +73,6 @@ def test_oracle_equivalence_sample():
                                                          n), n
 
 
-def test_coefficient_window():
-    s = _state(x12F=tail(["0", "0", "1/2"]))
-    coeffs = observable_current_coefficients(s, rational(1), R)
-    assert [n for n, _ in coeffs] == [1, 2, 3]
-
-
 def test_dual_word_family():
     words = dual_words()
     assert len(words) == 11
@@ -90,7 +83,7 @@ def test_dual_word_family():
 
 def test_dual_word_values_identity_state():
     mod = Module(R, rational(1), N)
-    vals = dual_word_values(initial_state(N, R), mod)
-    for name, v in vals.items():
+    v = assemble_state_vector(initial_state(N, R), mod)
+    for name, w in dual_words():
         want = R.one if name == "1" else R.zero
-        assert v == want, name
+        assert expectation(w, v) == want, name
