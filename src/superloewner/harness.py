@@ -25,6 +25,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import platform
+import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -47,7 +49,9 @@ class RunConfig:
     kappa: float = 2.0
     tau: float | None = None      # default 2/(k + 3/2)
     order: int = 4                # series truncation N
-    depth: int = 4                # module depth N_rep
+    # module depth N_rep; it only bounds word_depth: martingale-test
+    # assembles at word_depth, with the same cells as any deeper module
+    depth: int = 4
     dt: float = 1e-3
     t_max: float = 0.25
     paths: int = 10000
@@ -268,9 +272,16 @@ class MartingaleReport:
     config: RunConfig
     cells: list = field(default_factory=list)
     dropped_paths: int = 0
+    # wall seconds per stage: simulate_s, operators_s, and observables_s
+    # as a list with one entry per checkpoint in config order
+    timings: dict = field(default_factory=dict)
+    provenance: dict = field(default_factory=dict)
 
     def all_pass(self) -> bool:
-        return bool(self.cells) and all(c.passed for c in self.cells)
+        # a dropped path leaves a mean over the survivors only, which is
+        # biased toward them, so no drop is allowed
+        return (bool(self.cells) and self.dropped_paths == 0
+                and all(c.passed for c in self.cells))
 
     def pass_rate(self) -> float:
         if not self.cells:
@@ -285,6 +296,8 @@ class MartingaleReport:
             "summary": {"cells": len(self.cells),
                         "passed": sum(c.passed for c in self.cells),
                         "pass_rate": self.pass_rate()},
+            "timings": self.timings,
+            "provenance": self.provenance,
         }
 
     def text(self) -> str:
@@ -297,6 +310,12 @@ class MartingaleReport:
         lines.append(f"pass rate: {self.pass_rate():.4f} "
                      f"({sum(c.passed for c in self.cells)}"
                      f"/{len(self.cells)} cells)")
+        lines.append(f"dropped paths: {self.dropped_paths}")
+        worst = sorted(self.cells, key=lambda c: c.z, reverse=True)[:3]
+        if worst:
+            lines.append("worst cells: " + ", ".join(
+                f"{c.observable} {c.component} t={c.t:.3f} z={c.z:.2f}"
+                for c in worst))
         return "\n".join(lines)
 
 
@@ -305,6 +324,16 @@ def _config_json(cfg: RunConfig) -> dict:
     d["checkpoints"] = list(cfg.resolved_checkpoints())
     d["tau"] = cfg.resolved_tau()
     return d
+
+
+def _provenance(seed: int) -> dict:
+    import scipy
+
+    from . import __version__
+    return {"superloewner": __version__,
+            "python": platform.python_version(),
+            "numpy": np.__version__, "scipy": scipy.__version__,
+            "seed": seed}
 
 
 def martingale_test(cfg: RunConfig, warn_paths: int = 100) -> MartingaleReport:
@@ -318,17 +347,31 @@ def martingale_test(cfg: RunConfig, warn_paths: int = 100) -> MartingaleReport:
         cfg = dataclasses.replace(cfg, checkpoints=(cfg.t_max,))
     if min(cfg.checkpoints) <= 0:
         raise ConfigError("martingale checkpoints must lie in (0, t_max]")
+    clock = time.perf_counter
+    report = MartingaleReport(config=cfg, provenance=_provenance(cfg.seed))
+    started = clock()
     sim = simulate(cfg)
-    mm = MatrixModule(cfg.k, cfg.depth)
+    report.timings["simulate_s"] = clock() - started
+    # Assembling at word_depth instead of depth is exact.  Every assembly
+    # factor (L_{-j}, X(-j), and each normal-ordered Sugawara term) is a
+    # creation operator or acts with its annihilator first, so it never
+    # lowers depth; the components of depth <= word_depth therefore do not
+    # depend on where the module is truncated, and a word X(n) with
+    # n <= word_depth reads only those components.
+    started = clock()
+    mm = MatrixModule(cfg.k, cfg.word_depth)
     assembler = BatchAssembler(mm, cfg.order)
+    report.timings["operators_s"] = clock() - started
+    report.timings["observables_s"] = []
     refs = t0_observable_values(cfg)
-    report = MartingaleReport(config=cfg)
     for cp in sim.checkpoints:
         if cp.t == 0.0:
             continue
         mask = cp.finite
         report.dropped_paths += int((~mask).sum())
+        started = clock()
         obs = batch_observables(cp.state, cfg, assembler)
+        report.timings["observables_s"].append(clock() - started)
         for name, values in obs.items():
             vals = values[mask]
             npaths = len(vals)

@@ -1,13 +1,16 @@
 """Vectorized module backend for Monte Carlo batches.
 
-The depth-truncated vacuum module is finite dimensional (228 states at
-depth bound 4), so the per-path state assembly reduces to sparse
-matrix-vector work: enumerate the canonical PBW basis once, build the
-matrices of X(-j) and L_{-j} with the exact dict engine and cast them to
-complex.  `BatchAssembler` then runs the one assembly formula,
+The depth-truncated vacuum module is finite dimensional (24 states at
+depth bound 2, 228 at 4), so the per-path state assembly reduces to
+sparse matrix-vector work: enumerate the canonical PBW basis once, build
+the matrices of X(-j) and L_{-j} with the exact dict engine and cast
+them to complex.  `BatchAssembler` then runs the one assembly formula,
 `evolution.assemble`, on a (dim, paths) coefficient block; its `apply`
 back end is a sum of matrix products weighted by per-path coefficients.
-Dual-word functionals become precomputed rows.
+Dual-word functionals become precomputed rows.  No assembly operator
+lowers depth, so the Monte Carlo builds the module only as deep as its
+dual words read (`word_depth`): the components it reads are the same
+in any deeper module.
 
 The matrices are built at an exact rational level k when k is given
 exactly (int, str or Fraction) or is a float equal to a rational of

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from superloewner.harness import (BlockDrivers, ConfigError,
-                                  MartingaleReport, RunConfig,
+                                  MartingaleCell, MartingaleReport, RunConfig,
                                   martingale_seed_suite, martingale_test,
                                   parse_config_file, simulate, trace,
                                   trajectory_columns, trajectory_rows,
@@ -164,6 +164,50 @@ def test_martingale_report_shapes():
     text = rep.text()
     assert "pass rate" in text
     assert rep.pass_rate() > 0.9
+
+
+def test_martingale_report_telemetry():
+    rep = martingale_test(small_cfg(checkpoints=(0.01, 0.02)))
+    payload = rep.to_json()
+    # the existing keys stay
+    assert {"config", "dropped_paths", "cells", "summary"} <= set(payload)
+    timings = payload["timings"]
+    assert timings["simulate_s"] > 0 and timings["operators_s"] > 0
+    assert len(timings["observables_s"]) == 2
+    assert all(t > 0 for t in timings["observables_s"])
+    prov = payload["provenance"]
+    assert prov["seed"] == 5 and prov["superloewner"]
+    assert prov["python"] and prov["numpy"] and prov["scipy"]
+    json.dumps(payload)
+    lines = rep.text().splitlines()
+    assert lines[-2] == "dropped paths: 0"
+    worst = sorted(rep.cells, key=lambda c: c.z, reverse=True)[:3]
+    assert lines[-1].startswith("worst cells: ")
+    for c in worst:
+        assert f"{c.observable} {c.component} t={c.t:.3f} z={c.z:.2f}" \
+            in lines[-1]
+
+
+def test_dropped_paths_fail_the_gate():
+    cell = MartingaleCell(observable="word[1]", component="re", t=0.02,
+                          mean=1.0, se=0.0, reference=1.0, z=0.0,
+                          passed=True)
+    rep = MartingaleReport(config=small_cfg(), cells=[cell])
+    assert rep.all_pass()
+    dropped = dataclasses.replace(rep, dropped_paths=1)
+    assert not dropped.all_pass()
+    assert "dropped paths: 1" in dropped.text()
+
+
+@pytest.mark.parametrize("variant", ["derived", "displayed"])
+def test_module_depth_does_not_move_the_cells(variant):
+    shallow = martingale_test(small_cfg(depth=2, variant=variant))
+    deep = martingale_test(small_cfg(depth=4, variant=variant))
+    assert len(shallow.cells) == len(deep.cells) > 0
+    for a, b in zip(shallow.cells, deep.cells):
+        assert (a.observable, a.component, a.t) \
+            == (b.observable, b.component, b.t)
+        assert (a.mean, a.se, a.passed) == (b.mean, b.se, b.passed)
 
 
 def test_martingale_warns_under_sampled():
