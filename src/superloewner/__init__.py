@@ -14,16 +14,15 @@ from .superalgebra import (AlgebraElement, CriticalLevelError,
                            standard_basis, standard_dual_basis,
                            structure_constants)
 from .series import (AutSeries, ExpSeries, SeriesOrderError, TailSeries,
-                     aut_compose, aut_inverse, derive_dropped, series_derive,
-                     series_exp, series_inv_aut, series_mul, substitute)
+                     aut_compose, series_derive, series_exp, series_inv_aut,
+                     series_mul, substitute)
 from .affine import (DepthOverflowError, Module, Vector, act_mode, act_word,
                      annihilator_apply, conformal_weight, expectation, mode,
                      normal_order_product, sugawara)
 from .nullscan import (candidate_psi, condition_one, condition_two,
                        direct_residuals, null_conditions)
 from .evolution import (FlowState, aut_to_virasoro, assemble_state_vector,
-                        cbh_product, flow_step, initial_state, loewner_step,
-                        sde_terms)
+                        flow_step, initial_state, loewner_step, sde_terms)
 from .generator import ItoJet, JetRing, jet_state, state_drift
 from .matrixrep import BatchAssembler, MatrixModule
 from .observables import current_via_module, dual_words, observable_current

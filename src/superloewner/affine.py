@@ -145,13 +145,9 @@ def _acc(d: dict, key, val):
 
 
 def _invert(x, ring):
-    if hasattr(x, "inverse"):
-        return x.inverse()
     if isinstance(x, GrassmannScalar):
-        body = x.comp[0]
-        inv = _invert(body, ring)
-        return GrassmannScalar.body(inv)
-    return 1 / x
+        return GrassmannScalar.body(ring.base.one / x.comp[0])
+    return ring.one / x
 
 
 class Vector:
@@ -193,9 +189,6 @@ class Vector:
 
     def floor_coeff(self):
         return self.terms.get((), self.module.ring.zero)
-
-    def max_depth(self) -> int:
-        return max((_depth(m) for m in self.terms), default=0)
 
     def __eq__(self, other):
         if not isinstance(other, Vector):
@@ -318,8 +311,7 @@ def conformal_weight(lam, k, ring=EXACT):
     if not isinstance(lam, (Cyclo8,)) and ring is EXACT:
         lam = ring.from_rational(lam)
         k = ring.from_rational(k)
-    denom = (k + ring.from_rational("3/2") if ring is EXACT
-             else k + ring.from_int(3) / 2) * ring.from_int(4)
+    denom = (k + ring.from_rational("3/2")) * ring.from_int(4)
     if is_zero(denom):
         raise CriticalLevelError("critical level k = -3/2")
     return lam * (lam + ring.one) * _invert(denom, ring)

@@ -89,13 +89,10 @@ def _merge_config(args) -> RunConfig:
     return RunConfig(**values).validate()
 
 
-def _emit(payload, cfg_out, cfg_format, text=None):
+def _emit(payload, cfg_out):
     if cfg_out:
         write_json(cfg_out, payload)
-    if text:
-        print(text)
-    else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+    print(json.dumps(payload, indent=2, sort_keys=True))
 
 
 def cmd_verify_annihilator(args) -> int:
@@ -121,7 +118,7 @@ def cmd_verify_annihilator(args) -> int:
             records.append({"check": "annihilator", "k": str(k),
                             "kappa": str(kap), "tau": f"2/({k}+3/2)",
                             "residual_terms": nonzero, "pass": passed})
-    _emit({"records": records, "pass": ok}, args.out, args.format)
+    _emit({"records": records, "pass": ok}, args.out)
     return 0 if ok else 1
 
 
@@ -154,7 +151,7 @@ def cmd_verify_virasoro(args) -> int:
         records.append({"check": "virasoro", "k": str(k),
                         "L2L-2_vacuum_coeff": str(got),
                         "expected": str(expect), "pass": passed})
-    _emit({"records": records, "pass": ok}, args.out, args.format)
+    _emit({"records": records, "pass": ok}, args.out)
     return 0 if ok else 1
 
 
@@ -188,7 +185,7 @@ def cmd_null_scan(args) -> int:
     payload = {"no_go_confirmed": ok,
                "vacuum_condition1_zero_in_vacuum_quotient": cond1_vacuum,
                "samples": records}
-    _emit(payload, args.out, args.format)
+    _emit(payload, args.out)
     return 0 if (ok and cond1_vacuum) else 1
 
 
@@ -229,7 +226,7 @@ def cmd_trace(args) -> int:
         write_csv(cfg.out, ["t", "tip.re", "tip.im", "swallowed"], rows)
         print(f"wrote {len(rows)} trace rows to {cfg.out}")
     else:
-        _emit(payload, cfg.out, cfg.format)
+        _emit(payload, cfg.out)
     return 0
 
 

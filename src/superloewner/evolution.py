@@ -17,15 +17,16 @@ Two odd-sector variants ship:
       dL12 = -(tau/2){P,Q} dt - {P,L2} dB.
 
   This is the system under which the Berezin-projected state is a local
-  martingale (the Ito-jet generator test checks the drift exactly).
+  martingale.  The exact Ito-jet generator proves the zero drift:
+  tests/test_generator.py checks it on the assembled state
+  (`test_derived_variant_is_local_martingale_on_low_depth`) and on the
+  current observable (`test_current_observable_coefficients_have_zero_drift`).
 * "displayed": an alternative normalization in which every odd-sector
   diffusion is twice the conjugated root generator and the roles of the
   two odd sectors are swapped, while the drifts are scaled by two only;
   drift then differs from (1/2)(diffusion)^2, the Ito balance fails,
   and the generator test exhibits the nonzero drift.  Kept for
-  sensitivity and demonstration runs.  The sub-variant flag
-  `h12_literal` switches to an alternative grouping of one rho^{-1}
-  factor inside the dx^{12,H} diffusion.
+  sensitivity and demonstration runs.
 
 The even sector is common to both variants (signs as displayed; a
 global per-driver Brownian sign flip is law-preserving).
@@ -42,11 +43,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .affine import Module, Vector, act_mode, mode, sugawara
-from .grassmann import GrassmannScalar
 from .scalars import is_zero, to_complex
 from .series import (AutSeries, TailSeries, series_exp, series_inv_aut,
                      series_mul)
-from .superalgebra import bracket_symbols
 
 PROCESS_NAMES = ("xE", "xH", "xF", "x1e", "x1f", "x2e", "x2f",
                  "x12E", "x12H", "x12F")
@@ -80,8 +79,7 @@ def initial_state(order: int, ring) -> FlowState:
                      x12E=z, x12H=z, x12F=z, t=0.0)
 
 
-def sde_terms(state: FlowState, tau, ring, variant: str = "derived",
-              h12_literal: bool = False) -> dict:
+def sde_terms(state: FlowState, tau, ring, variant: str = "derived") -> dict:
     """Drift and per-driver diffusion series of every internal process.
 
     Returns {name: {"dt": TailSeries, "B1": ..., "B2": ..., "B3": ...,
@@ -144,19 +142,10 @@ def sde_terms(state: FlowState, tau, ring, variant: str = "derived",
             "dt": (series_mul(a, u2) + series_mul(a, ace2m)).scale(tau),
             "Ba": series_mul(state.x2e, g1).scale(-sq2),
         }
-        if h12_literal:
-            inner = (ep.tail + series_mul(ac, emu))  # e^b - 1 + e^{-b}ac u
-            # alternative grouping: rho^{-1} only on the a c term, the
-            # e^b piece enters bare
-            h_diff = (series_mul(state.x2e, series_mul(c, emu))
-                      - series_mul(state.x2f, inner)
-                      - state.x2f).scale(sq2)
-        else:
-            h_diff = (series_mul(state.x2e, series_mul(c, emu))
-                      - series_mul(state.x2f, g1)).scale(sq2)
         terms["x12H"] = {
             "dt": (u2 + ace2m.scale(ring.from_int(2))).scale(-tau / 2),
-            "Ba": h_diff,
+            "Ba": (series_mul(state.x2e, series_mul(c, emu))
+                   - series_mul(state.x2f, g1)).scale(sq2),
         }
         terms["x12F"] = {
             "dt": series_mul(c, e2m * u2).scale(-tau),
@@ -187,75 +176,15 @@ def _stepped(series: TailSeries, term: dict, dt, incs: dict) -> TailSeries:
 
 
 def flow_step(state: FlowState, dt, incs: dict, tau, ring=None,
-              variant: str = "derived", h12_literal: bool = False) -> FlowState:
+              variant: str = "derived") -> FlowState:
     """Full simultaneous Euler step; incs maps driver name to increment."""
     ring = ring or state.rho.ring
-    terms = sde_terms(state, tau, ring, variant=variant,
-                      h12_literal=h12_literal)
+    terms = sde_terms(state, tau, ring, variant=variant)
     new = {n: _stepped(getattr(state, n), terms[n], dt, incs)
            for n in PROCESS_NAMES}
     rho = loewner_step(state.rho, dt, incs["B0"])
     t_inc = dt if isinstance(dt, float) else to_complex(dt).real
     return replace(state, rho=rho, t=state.t + t_inc, **new)
-
-
-# -- Grassmann envelope product ------------------------------------------
-
-class NonNilpotentInputError(ValueError):
-    pass
-
-
-def _grass_parity_pure(series: TailSeries) -> bool:
-    for cf in series.coeffs:
-        if not isinstance(cf, GrassmannScalar):
-            return False
-        if not (is_zero(cf.comp[0]) and is_zero(cf.comp[3])):
-            return False
-    return True
-
-
-def envelope_bracket(A: dict, B: dict) -> dict:
-    """[X (x) s, Y (x) s'] = [X,Y] (x) s s' for envelope elements.
-
-    Elements are dicts mapping a basis symbol to a TailSeries whose
-    coefficients are GrassmannScalars; the Grassmann factors ride along
-    inside the series coefficients, in product order.
-    """
-    out: dict = {}
-    for sx, sa in A.items():
-        for sy, sb in B.items():
-            prod = series_mul(sa, sb)
-            for s2, c in bracket_symbols(sx, sy).items():
-                cur = out.get(s2)
-                term = prod.scale(prod.ring.from_int(c))
-                out[s2] = term if cur is None else cur + term
-    return {s: t for s, t in out.items() if not t.is_zero()}
-
-
-def cbh_product(A: dict, B: dict) -> dict:
-    """Exponent of exp(A) exp(B) for single-eta odd envelope elements.
-
-    The series terminates exactly: exp(A)exp(B) = exp(A + B + [A,B]/2)
-    because both arguments are Grassmann-odd (so [A,[A,B]] and deeper
-    nestings vanish).  Raises NonNilpotentInputError when an argument
-    has an even Grassmann component.
-    """
-    for el in (A, B):
-        for s, t in el.items():
-            if not _grass_parity_pure(t):
-                raise NonNilpotentInputError(
-                    "cbh_product needs Grassmann-odd arguments")
-    half_bracket = envelope_bracket(A, B)
-    out: dict = {}
-    for src in (A, B):
-        for s, t in src.items():
-            cur = out.get(s)
-            out[s] = t if cur is None else cur + t
-    for s, t in half_bracket.items():
-        t = TailSeries([c / 2 for c in t.coeffs], t.ring)
-        cur = out.get(s)
-        out[s] = t if cur is None else cur + t
-    return {s: t for s, t in out.items() if not t.is_zero()}
 
 
 # -- Aut_+O in exponential Virasoro coordinates ---------------------------

@@ -87,8 +87,7 @@ class ItoJet:
 
     def inverse(self):
         base = self.spec.base
-        inv_v = self.val.inverse() if hasattr(self.val, "inverse") \
-            else 1 / self.val
+        inv_v = base.one / self.val
         # (v + n)^{-1} = v^{-1} - v^{-2} n + v^{-3} n^2 with n nilpotent
         n_dt, n_b = self.dt, self.b
         n2_dt = base.zero
@@ -145,8 +144,7 @@ class JetRing:
         return ItoJet(value, drift, tuple(diffusions), self)
 
 
-def jet_state(state: FlowState, kappa, tau, ring,
-              variant: str = "derived", h12_literal: bool = False):
+def jet_state(state: FlowState, kappa, tau, ring, variant: str = "derived"):
     """Lift an exact FlowState to jet coordinates carrying its own SDE.
 
     Each series coefficient becomes val + mu*delta + sum sigma_d beta_d
@@ -154,8 +152,7 @@ def jet_state(state: FlowState, kappa, tau, ring,
     Loewner equation (rho).  Returns (jet_ring, FlowState over jets).
     """
     spec = JetRing(ring, (kappa, tau, tau, tau, tau))
-    terms = sde_terms(state, tau, ring, variant=variant,
-                      h12_literal=h12_literal)
+    terms = sde_terms(state, tau, ring, variant=variant)
     n = state.order
     zb = ring.zero
 
@@ -192,14 +189,13 @@ def jet_state(state: FlowState, kappa, tau, ring,
 
 
 def state_drift(state: FlowState, k, kappa, tau, ring, nrep: int,
-                variant: str = "derived", h12_literal: bool = False) -> Vector:
+                variant: str = "derived") -> Vector:
     """Exact drift vector (d/dt)E[assembled state] at the given state.
 
     The returned Vector lives in a module over the base ring; each
     component is the delta part of the jet-assembled state.
     """
-    spec, jstate = jet_state(state, kappa, tau, ring, variant=variant,
-                             h12_literal=h12_literal)
+    spec, jstate = jet_state(state, kappa, tau, ring, variant=variant)
     jmod = Module(spec, spec.constant(k), nrep)
     jvec = assemble_state_vector(jstate, jmod)
     base_mod = Module(ring, k, nrep)

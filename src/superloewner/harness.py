@@ -60,7 +60,6 @@ class RunConfig:
     format: str = "csv"
     checkpoints: tuple = ()
     variant: str = "derived"
-    h12_literal: bool = False
     word_depth: int = 2
     # trace-specific grid
     trace_xmax: float = 1.5
@@ -114,7 +113,6 @@ class RunConfig:
         return [self.t_max]
 
 
-_BOOL_KEYS = {"h12_literal"}
 _INT_KEYS = {"order", "depth", "paths", "seed", "trace_nx", "trace_ny",
              "word_depth"}
 _STR_KEYS = {"out", "format", "variant"}
@@ -122,7 +120,9 @@ _STR_KEYS = {"out", "format", "variant"}
 
 def parse_config_file(path: str) -> dict:
     """Plain key=value file; '#' starts a comment; keys match RunConfig."""
+    known = {f.name for f in dataclasses.fields(RunConfig)}
     values: dict = {}
+    bad = set()
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -133,18 +133,16 @@ def parse_config_file(path: str) -> dict:
             key, _, val = line.partition("=")
             key = key.strip()
             val = val.strip()
-            if key == "checkpoints":
+            if key not in known:
+                bad.add(key)
+            elif key == "checkpoints":
                 values[key] = tuple(float(v) for v in val.split(",") if v)
-            elif key in _BOOL_KEYS:
-                values[key] = val.lower() in ("1", "true", "yes")
             elif key in _INT_KEYS:
                 values[key] = int(val)
             elif key in _STR_KEYS:
                 values[key] = val
             else:
                 values[key] = float(Fraction(val)) if "/" in val else float(val)
-    known = {f.name for f in dataclasses.fields(RunConfig)}
-    bad = set(values) - known
     if bad:
         raise ConfigError(f"unknown config keys: {sorted(bad)}")
     return values
@@ -187,9 +185,6 @@ class SimResult:
     config: RunConfig
     checkpoints: list = field(default_factory=list)
 
-    def state_at(self, idx: int) -> FlowState:
-        return self.checkpoints[idx].state
-
 
 def _finite_mask(state: FlowState) -> np.ndarray:
     ok = np.isfinite(state.rho.coeffs[0])
@@ -221,7 +216,7 @@ def simulate(cfg: RunConfig, increments=None) -> SimResult:
     for step in range(1, nsteps + 1):
         incs = next(inc_iter) if inc_iter is not None else drivers.step()
         state = flow_step(state, cfg.dt, incs, tau, ring=COMPLEX,
-                          variant=cfg.variant, h12_literal=cfg.h12_literal)
+                          variant=cfg.variant)
         if step in cp_steps:
             result.checkpoints.append(
                 Checkpoint(step * cfg.dt, state, _finite_mask(state)))
@@ -271,7 +266,10 @@ class MartingaleCell:
 class MartingaleReport:
     config: RunConfig
     cells: list = field(default_factory=list)
+    # distinct paths non-finite at any checkpoint, and the non-finite
+    # count at each checkpoint in config order
     dropped_paths: int = 0
+    dropped_by_checkpoint: list = field(default_factory=list)
     # wall seconds per stage: simulate_s, operators_s, and observables_s
     # as a list with one entry per checkpoint in config order
     timings: dict = field(default_factory=dict)
@@ -292,6 +290,7 @@ class MartingaleReport:
         return {
             "config": _config_json(self.config),
             "dropped_paths": self.dropped_paths,
+            "dropped_by_checkpoint": self.dropped_by_checkpoint,
             "cells": [c.to_json() for c in self.cells],
             "summary": {"cells": len(self.cells),
                         "passed": sum(c.passed for c in self.cells),
@@ -336,13 +335,16 @@ def _provenance(seed: int) -> dict:
             "seed": seed}
 
 
-def martingale_test(cfg: RunConfig, warn_paths: int = 100) -> MartingaleReport:
+_WARN_PATHS = 100
+
+
+def martingale_test(cfg: RunConfig) -> MartingaleReport:
     """Estimate E[observable] at each checkpoint and gate at 3 SE."""
     cfg.validate()
-    if cfg.paths < warn_paths:
+    if cfg.paths < _WARN_PATHS:
         import warnings
         warnings.warn("path count below %d: standard errors are unreliable"
-                      % warn_paths, stacklevel=2)
+                      % _WARN_PATHS, stacklevel=2)
     if not cfg.checkpoints:
         cfg = dataclasses.replace(cfg, checkpoints=(cfg.t_max,))
     if min(cfg.checkpoints) <= 0:
@@ -364,11 +366,13 @@ def martingale_test(cfg: RunConfig, warn_paths: int = 100) -> MartingaleReport:
     report.timings["operators_s"] = clock() - started
     report.timings["observables_s"] = []
     refs = t0_observable_values(cfg)
+    dropped = np.zeros(cfg.paths, dtype=bool)
     for cp in sim.checkpoints:
         if cp.t == 0.0:
             continue
         mask = cp.finite
-        report.dropped_paths += int((~mask).sum())
+        dropped |= ~mask
+        report.dropped_by_checkpoint.append(int((~mask).sum()))
         started = clock()
         obs = batch_observables(cp.state, cfg, assembler)
         report.timings["observables_s"].append(clock() - started)
@@ -390,6 +394,7 @@ def martingale_test(cfg: RunConfig, warn_paths: int = 100) -> MartingaleReport:
                 report.cells.append(MartingaleCell(
                     observable=name, component=comp, t=cp.t, mean=mean,
                     se=se, reference=ref, z=z, passed=passed))
+    report.dropped_paths = int(dropped.sum())
     return report
 
 

@@ -67,18 +67,15 @@ def condition_two(x: str, k, lam, kappa, tau, ring=EXACT) -> Vector:
     return act_mode(mode(x, 0), v).scale(coeff)
 
 
-def candidate_psi(k, lam, kappa, tau, ring=EXACT, variant="L-2") -> Vector:
+def candidate_psi(k, lam, kappa, tau, ring=EXACT) -> Vector:
     """The degree-2 null-vector candidate.
 
-    variant "L-2" uses the -2 L_{-2} leading term that matches the
-    degree-2 annihilating operator; "L-1" substitutes -2 L_{-1}, kept
-    switchable for sensitivity checks.
+    Its -2 L_{-2} leading term matches the degree-2 annihilating operator.
     """
     k, lam, kappa, tau = (_scal(ring, v) for v in (k, lam, kappa, tau))
     module = _verma(ring, k, lam, nrep=3)
     v = Vector.floor_vector(module)
-    lead = sugawara(-2 if variant == "L-2" else -1, v)
-    psi = lead.scale(ring.from_int(-2))
+    psi = sugawara(-2, v).scale(ring.from_int(-2))
     psi = psi + sugawara(-1, sugawara(-1, v)).scale(kappa / 2)
     for a, sym_a in enumerate(SYMBOLS):
         dual_sym, num, den = _DUAL[a]
@@ -89,10 +86,9 @@ def candidate_psi(k, lam, kappa, tau, ring=EXACT, variant="L-2") -> Vector:
     return psi
 
 
-def direct_residuals(x: str, k, lam, kappa, tau, ring=EXACT,
-                     variant="L-2") -> tuple:
+def direct_residuals(x: str, k, lam, kappa, tau, ring=EXACT) -> tuple:
     """(X(1) psi, X(2) psi) reduced from first principles."""
-    psi = candidate_psi(k, lam, kappa, tau, ring=ring, variant=variant)
+    psi = candidate_psi(k, lam, kappa, tau, ring=ring)
     return (act_mode(mode(x, 1), psi), act_mode(mode(x, 2), psi))
 
 

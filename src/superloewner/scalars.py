@@ -155,9 +155,6 @@ class Cyclo8:
     def is_zero(self) -> bool:
         return self.c == _ZERO4
 
-    def is_rational(self) -> bool:
-        return self.c[1] == 0 and self.c[2] == 0 and self.c[3] == 0
-
     def __eq__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
@@ -171,10 +168,6 @@ class Cyclo8:
         return not self.is_zero()
 
     # -- conversions ----------------------------------------------------
-    def rational_part(self) -> Fraction:
-        """Coordinates in the basis (1, sqrt2, i, i*sqrt2): the 1-component."""
-        return self.c[0]
-
     def as_i_sqrt2(self):
         """Return (a, b, c, d) with value = a + b*sqrt2 + i*(c + d*sqrt2)."""
         c0, c1, c2, c3 = self.c
@@ -225,8 +218,7 @@ class Ring:
 
     def from_rational(self, v: RationalLike):
         f = _as_fraction(v)
-        return (self.from_int(f.numerator) * self.one) / f.denominator \
-            if self.name != "exact" else Cyclo8(f)
+        return (self.from_int(f.numerator) * self.one) / f.denominator
 
     def __repr__(self):
         return f"Ring({self.name})"

@@ -14,9 +14,9 @@ code runs over exact scalars, complex floats, numpy arrays (one series
 per Monte Carlo path), Grassmann coefficients, and Ito jets.
 
 The formal derivative of a tail series pushes c_{-N} to the dropped
-order zeta^{-N-1}; `derive` truncates and `derive_dropped` exposes the
-lost coefficient so callers can do order accounting instead of trusting
-a silently wrong top coefficient.
+order zeta^{-N-1}; `series_derive` truncates it, so only the
+coefficients of zeta^{-n-1} with n <= N-1 of a derived series are
+order-exact.
 """
 
 from __future__ import annotations
@@ -174,9 +174,6 @@ class AutSeries:
             c[j] = self.coeffs[j]
         return TailSeries(c, self.ring)
 
-    def is_identity(self):
-        return all(is_zero(c) for c in self.coeffs)
-
     def __repr__(self):
         terms = ["z"]
         for j, c in enumerate(self.coeffs):
@@ -248,11 +245,6 @@ def series_derive(a: TailSeries) -> TailSeries:
     return TailSeries(out, ring)
 
 
-def derive_dropped(a: TailSeries):
-    """The zeta^{-N-1} coefficient series_derive discards: -N c_{-N}."""
-    return a.coeffs[-1] * a.ring.from_int(-a.order)
-
-
 def substitute(a: TailSeries, rho: AutSeries) -> TailSeries:
     """a(rho(zeta)): replace zeta^{-j} by (1/rho)^j, truncated."""
     _check(a, rho)
@@ -280,19 +272,6 @@ def aut_compose(rho: AutSeries, mu: AutSeries) -> AutSeries:
         rho)
     res = AutSeries(out, ring)
     return res + tail_part
-
-
-def aut_inverse(rho: AutSeries) -> AutSeries:
-    """Compositional inverse: sigma with rho(sigma(z)) = z + O(z^{-N-1})."""
-    n = rho.order
-    ring = rho.ring
-    sigma = AutSeries.identity(n, ring)
-    # b_{j} enters rho(sigma) linearly at z^{-j}; solve top-down
-    for j in range(0, n + 1):
-        image = aut_compose(sigma, rho)
-        resid = image.coeffs[j]
-        sigma.coeffs[j] = sigma.coeffs[j] - resid
-    return sigma
 
 
 def series_equal(a, b) -> bool:

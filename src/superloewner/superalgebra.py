@@ -176,8 +176,7 @@ def dual_basis(basis: Sequence[AlgebraElement]) -> list:
         if piv is None:
             raise DegeneratePairingError("form is degenerate on the span")
         aug[col], aug[piv] = aug[piv], aug[col]
-        inv = ring.one / aug[col][col] if hasattr(aug[col][col], "inverse") \
-            else 1 / aug[col][col]
+        inv = ring.one / aug[col][col]
         aug[col] = [v * inv for v in aug[col]]
         for r in range(n):
             if r != col and not is_zero(aug[r][col]):
@@ -252,8 +251,7 @@ def structure_constants(k, ring: Ring = EXACT) -> StructureData:
     """Derived constants at level k; k may be exact or float-backed."""
     if not hasattr(k, "is_zero") and ring is EXACT:
         k = ring.from_rational(k)
-    h_vee = ring.from_rational("3/2") if ring is EXACT \
-        else ring.from_int(3) / 2
+    h_vee = ring.from_rational("3/2")
     denom = k + h_vee
     if is_zero(denom):
         raise CriticalLevelError("critical level k = -3/2")

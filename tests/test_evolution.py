@@ -4,11 +4,9 @@ from fractions import Fraction
 import pytest
 
 from superloewner.affine import Module, Vector, act_mode, act_word, mode
-from superloewner.evolution import (NonNilpotentInputError,
-                                    assemble_state_vector, aut_to_virasoro,
-                                    cbh_product, flow_step, initial_state,
-                                    loewner_step, sde_terms, sugawara)
-from superloewner.grassmann import GrassRing
+from superloewner.evolution import (assemble_state_vector, aut_to_virasoro,
+                                    flow_step, initial_state, loewner_step,
+                                    sugawara)
 from superloewner.scalars import EXACT, rational
 from superloewner.series import (AutSeries, TailSeries, series_equal,
                                  substitute)
@@ -113,70 +111,6 @@ def test_no_increment_no_change():
     out = step(s, R.zero, rational("4/5"))
     for name in ("x1e", "x1f", "x2e", "x2f", "x12E", "x12H", "x12F"):
         assert series_equal(getattr(out, name), getattr(s, name)), name
-
-
-def test_h12_literal_switch_changes_diffusion():
-    s = state(xH=tail(["1/3"]), x2f=tail(["1/5"]), x2e=tail(["1/7"]),
-              xE=tail(["1/2"]), xF=tail(["1/11"]))
-    t_default = sde_terms(s, rational("4/5"), R, variant="displayed")
-    t_literal = sde_terms(s, rational("4/5"), R, variant="displayed",
-                          h12_literal=True)
-    assert not series_equal(t_default["x12H"]["Ba"], t_literal["x12H"]["Ba"])
-    assert series_equal(t_default["x12H"]["dt"], t_literal["x12H"]["dt"])
-
-
-# -- CBH product -----------------------------------------------------------
-
-def _env(symbol, power, coeff, eta, G):
-    t = TailSeries.monomial(power, coeff, N, G)
-    return {symbol: t}
-
-
-def test_cbh_ef_pair():
-    G = GrassRing(EXACT)
-    A = _env("e", -1, G.eta1, None, G)
-    B = _env("f", -1, G.eta2, None, G)
-    out = cbh_product(A, B)
-    assert set(out) == {"e", "f", "H"}
-    assert out["e"].coeff(-1) == G.eta1
-    assert out["f"].coeff(-1) == G.eta2
-    # (1/2)[e,f] (x) zeta^-2 (x) eta1 eta2
-    assert out["H"].coeff(-2) == G.eta12 * rational("1/2")
-
-
-def test_cbh_ee_pair():
-    # [e,e] = 2E makes the bracket term E (x) zeta^-3 (x) eta1 eta2
-    G = GrassRing(EXACT)
-    A = _env("e", -1, G.eta1, None, G)
-    B = _env("e", -2, G.eta2, None, G)
-    out = cbh_product(A, B)
-    assert out["E"].coeff(-3) == G.eta12
-
-
-def test_cbh_zero_argument():
-    G = GrassRing(EXACT)
-    A = _env("e", -1, G.eta1, None, G)
-    assert cbh_product(A, {}) == A
-
-
-def test_cbh_bracket_is_top_weighted_only():
-    G = GrassRing(EXACT)
-    A = {"e": TailSeries.monomial(-1, G.eta1, N, G),
-         "f": TailSeries.monomial(-2, G.eta1 * rational(3), N, G)}
-    B = _env("f", -1, G.eta2, None, G)
-    out = cbh_product(A, B)
-    for sym in ("E", "H", "F"):
-        if sym in out:
-            for c in out[sym].coeffs:
-                assert c.comp[1].is_zero() and c.comp[2].is_zero()
-
-
-def test_cbh_rejects_even_grassmann():
-    G = GrassRing(EXACT)
-    A = _env("e", -1, G.one, None, G)
-    B = _env("f", -1, G.eta2, None, G)
-    with pytest.raises(NonNilpotentInputError):
-        cbh_product(A, B)
 
 
 # -- exponential Virasoro coordinates --------------------------------------

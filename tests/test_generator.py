@@ -121,22 +121,6 @@ def test_displayed_variant_drift_structure_at_time_zero():
     assert d.terms == want
 
 
-def test_h12_placement_never_moves_the_drift():
-    # the assembled state is linear in x^{12,H} and that coordinate's
-    # diffusion rides the odd driver, which has zero covariation with
-    # every coordinate the state is nonlinear in, so the rho^{-1}
-    # grouping ambiguity can change pathwise variance but no mean
-    k, kap = rational(1), rational(2)
-    tau = rational(2) / (k + rational("3/2"))
-    rng = random.Random(44)
-    for _ in range(2):
-        s = _rand_state(3, rng)
-        d_lit = state_drift(s, k, kap, tau, R, 3, variant="displayed",
-                            h12_literal=True)
-        d_def = state_drift(s, k, kap, tau, R, 3, variant="displayed")
-        assert d_lit == d_def
-
-
 def test_current_observable_coefficients_have_zero_drift():
     # push jets through the closed-form observable as well
     rng = random.Random(9)

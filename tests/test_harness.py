@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from superloewner import harness
 from superloewner.harness import (BlockDrivers, ConfigError,
                                   MartingaleCell, MartingaleReport, RunConfig,
                                   martingale_seed_suite, martingale_test,
@@ -71,19 +72,18 @@ def test_martingale_gate_never_passes_vacuously():
 def test_config_file_roundtrip(tmp_path):
     p = tmp_path / "run.cfg"
     p.write_text("k = 1.5\nkappa = 8/3\norder = 3\n"
-                 "checkpoints = 0.1, 0.25\nvariant = displayed\n"
-                 "h12_literal = true  # literal rho placement\n")
+                 "checkpoints = 0.1, 0.25\nvariant = displayed\n")
     values = parse_config_file(str(p))
     assert values["k"] == 1.5
     assert abs(values["kappa"] - 8 / 3) < 1e-15
     assert values["order"] == 3
     assert values["checkpoints"] == (0.1, 0.25)
     assert values["variant"] == "displayed"
-    assert values["h12_literal"] is True
     p2 = tmp_path / "bad.cfg"
-    p2.write_text("nonsense = 3\n")
-    with pytest.raises(ConfigError):
-        parse_config_file(str(p2))
+    for bad in ("nonsense = 3\n", "h12_literal = true\n"):
+        p2.write_text(bad)
+        with pytest.raises(ConfigError, match="unknown config keys"):
+            parse_config_file(str(p2))
 
 
 def test_block_drivers_reproducible():
@@ -197,6 +197,26 @@ def test_dropped_paths_fail_the_gate():
     dropped = dataclasses.replace(rep, dropped_paths=1)
     assert not dropped.all_pass()
     assert "dropped paths: 1" in dropped.text()
+
+
+def test_dropped_paths_count_each_path_once(monkeypatch):
+    step = harness.BlockDrivers.step
+    calls = []
+
+    def poisoned(self):
+        incs = step(self)
+        calls.append(None)
+        if len(calls) == 1:
+            incs["B1"][0] = np.nan
+        return incs
+
+    monkeypatch.setattr(harness.BlockDrivers, "step", poisoned)
+    rep = martingale_test(small_cfg(checkpoints=(0.01, 0.02)))
+    assert rep.dropped_paths == 1
+    assert rep.dropped_by_checkpoint == [1, 1]
+    assert rep.to_json()["dropped_by_checkpoint"] == [1, 1]
+    assert not rep.all_pass()
+    assert "dropped paths: 1" in rep.text()
 
 
 @pytest.mark.parametrize("variant", ["derived", "displayed"])

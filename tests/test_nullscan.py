@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 from superloewner.affine import Module, Vector, act_mode, mode
-from superloewner.nullscan import (candidate_psi, condition_one, condition_two,
+from superloewner.nullscan import (condition_one, condition_two,
                                    direct_residuals, null_conditions)
 from superloewner.scalars import EXACT, rational
 from superloewner.superalgebra import SYMBOLS
@@ -57,13 +57,6 @@ def test_direct_reduction_matches_condition_formulas():
             d1, d2 = direct_residuals(x, k, lam, kappa, tau)
             assert d1 == condition_one(x, k, lam, kappa, tau), (x, k, lam)
             assert d2 == condition_two(x, k, lam, kappa, tau), (x, k, lam)
-
-
-def test_psi_variant_flag():
-    k, lam, kappa, tau = Fraction(1), Fraction(2), Fraction(1), Fraction(1, 3)
-    psi2 = candidate_psi(k, lam, kappa, tau, variant="L-2")
-    psi1 = candidate_psi(k, lam, kappa, tau, variant="L-1")
-    assert psi2 != psi1
 
 
 def test_condition_two_coefficient():

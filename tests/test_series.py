@@ -5,9 +5,9 @@ import pytest
 
 from superloewner.scalars import EXACT, rational
 from superloewner.series import (AutSeries, SeriesOrderError, TailSeries,
-                                 aut_compose, aut_inverse, derive_dropped,
-                                 series_derive, series_equal, series_exp,
-                                 series_inv_aut, series_mul, substitute)
+                                 aut_compose, series_derive, series_equal,
+                                 series_exp, series_inv_aut, series_mul,
+                                 substitute)
 
 R = EXACT
 ONE = R.one
@@ -136,12 +136,6 @@ def test_derive_examples():
     assert series_derive(TailSeries.zero(3, R)).is_zero()
 
 
-def test_derive_dropped_marker():
-    a = tail([0, 0, 0, 5])
-    assert derive_dropped(a) == rational(-20)
-    assert derive_dropped(tail([1, 1, 1, 0])) == R.zero
-
-
 def test_leibniz_up_to_dropped_order():
     rng = random.Random(99)
     for _ in range(20):
@@ -191,14 +185,6 @@ def test_substitute_compose_coherence():
         lhs = substitute(a, aut_compose(rho, mu))
         rhs = substitute(substitute(a, mu), rho)
         assert series_equal(lhs, rhs)
-
-
-def test_aut_inverse_roundtrip():
-    rng = random.Random(11)
-    for _ in range(10):
-        rho = rand_aut(4, rng)
-        sigma = aut_inverse(rho)
-        assert aut_compose(sigma, rho).is_identity()
 
 
 def test_aut_absorbs_tail_only():
