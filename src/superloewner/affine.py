@@ -54,7 +54,12 @@ def _depth(mono: tuple) -> int:
 
 
 class Module:
-    """Level-k module over a coefficient ring with a chosen floor."""
+    """Level-k module over a coefficient ring with a chosen floor.
+
+    `_act` reads only (ring, k, floor, weight), not `nrep`, so its cache
+    lives on the ring handle keyed by (k, floor, weight): modules equal
+    in those share it, and it is freed with the ring.
+    """
 
     def __init__(self, ring, k, nrep: int, floor="vacuum", weight=None):
         self.ring = ring
@@ -64,7 +69,8 @@ class Module:
         self.weight = weight  # H(0) eigenvalue for the verma floor
         if floor == "verma" and weight is None:
             raise ValueError("verma floor needs a weight")
-        self._cache: dict = {}
+        caches = vars(ring).setdefault("_act_caches", {})
+        self._cache: dict = caches.setdefault((k, floor, weight), {})
         self._two_k_plus_3_inv = None
 
     # -- raw mode action on a single canonical monomial -----------------

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .grassmann import GrassRing, GrassmannScalar, berezin
 from .affine import Module, Vector, annihilator_apply, mode, sugawara, act_mode
 from .harness import (ConfigError, RunConfig, martingale_test,
-                      parse_config_file, simulate, trace,
+                      parse_config_file, parse_value, simulate, trace,
                       trajectory_columns, trajectory_rows, write_csv,
                       write_json)
 from .nullscan import null_conditions
@@ -25,7 +25,11 @@ from .scalars import EXACT
 
 
 def _frac(text: str) -> Fraction:
-    return Fraction(text)
+    return parse_value("flag", text, Fraction)
+
+
+def _fracs(flag: str, text: str) -> list:
+    return [parse_value(flag, s, Fraction) for s in text.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -84,7 +88,8 @@ def _merge_config(args) -> RunConfig:
         v = getattr(args, f.name, None)
         if v is not None:
             if f.name == "checkpoints" and isinstance(v, str):
-                v = tuple(float(x) for x in v.split(",") if x)
+                v = tuple(parse_value("--checkpoints", x, float)
+                          for x in v.split(",") if x)
             values[f.name] = float(v) if isinstance(v, Fraction) else v
     return RunConfig(**values).validate()
 
@@ -96,8 +101,8 @@ def _emit(payload, cfg_out):
 
 
 def cmd_verify_annihilator(args) -> int:
-    ks = [Fraction(s) for s in args.k_list.split(",")]
-    kappas = [Fraction(s) for s in args.kappa_list.split(",")]
+    ks = _fracs("--k-list", args.k_list)
+    kappas = _fracs("--kappa-list", args.kappa_list)
     G = GrassRing(EXACT)
     records = []
     ok = True
@@ -123,7 +128,7 @@ def cmd_verify_annihilator(args) -> int:
 
 
 def cmd_verify_virasoro(args) -> int:
-    ks = [Fraction(s) for s in args.k_list.split(",")]
+    ks = _fracs("--k-list", args.k_list)
     records = []
     ok = True
     for k in ks:

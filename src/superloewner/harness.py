@@ -118,6 +118,14 @@ _INT_KEYS = {"order", "depth", "paths", "seed", "trace_nx", "trace_ny",
 _STR_KEYS = {"out", "format", "variant"}
 
 
+def parse_value(key: str, text: str, convert):
+    """convert(text), or a ConfigError naming the key and the value."""
+    try:
+        return convert(text)
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"bad value for {key}: {text!r}") from None
+
+
 def parse_config_file(path: str) -> dict:
     """Plain key=value file; '#' starts a comment; keys match RunConfig."""
     known = {f.name for f in dataclasses.fields(RunConfig)}
@@ -136,13 +144,15 @@ def parse_config_file(path: str) -> dict:
             if key not in known:
                 bad.add(key)
             elif key == "checkpoints":
-                values[key] = tuple(float(v) for v in val.split(",") if v)
+                values[key] = tuple(parse_value(key, v, float)
+                                    for v in val.split(",") if v)
             elif key in _INT_KEYS:
-                values[key] = int(val)
+                values[key] = parse_value(key, val, int)
             elif key in _STR_KEYS:
                 values[key] = val
             else:
-                values[key] = float(Fraction(val)) if "/" in val else float(val)
+                real = (lambda t: float(Fraction(t))) if "/" in val else float
+                values[key] = parse_value(key, val, real)
     if bad:
         raise ConfigError(f"unknown config keys: {sorted(bad)}")
     return values

@@ -3,9 +3,10 @@
 Every exact identity in this package (annihilator, Virasoro brackets,
 null-vector residuals, oracle equivalences) is stated over the field
 Q(i, sqrt2).  We realize it as the 8th cyclotomic field Q(x)/(x^4 + 1),
-where x = exp(i pi/4), so i = x^2 and sqrt2 = x - x^3.  Elements are
-four `fractions.Fraction` coordinates; products reduce modulo x^4 = -1
-and inverses go through the Galois conjugates x -> x^m, m in {3, 5, 7}.
+where x = exp(i pi/4), so i = x^2 and sqrt2 = x - x^3.  An element is
+four integer numerators over one shared positive denominator, kept in
+lowest terms; products reduce modulo x^4 = -1 on the integers and
+inverses go through the Galois conjugates x -> x^m, m in {3, 5, 7}.
 
 Simulation code uses plain Python/numpy complex instead; the series and
 module engines are generic over either backend (they only need ring
@@ -16,9 +17,8 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Union
-
-_ZERO4 = (Fraction(0), Fraction(0), Fraction(0), Fraction(0))
 
 RationalLike = Union[int, Fraction, str]
 
@@ -26,27 +26,42 @@ RationalLike = Union[int, Fraction, str]
 def _as_fraction(v: RationalLike) -> Fraction:
     if isinstance(v, Fraction):
         return v
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, str):
+    if isinstance(v, (int, str)):
         return Fraction(v)
     raise TypeError(f"not an exact rational: {v!r}")
 
 
-class Cyclo8:
-    """Element of Q[x]/(x^4+1) with x = exp(i pi/4)."""
+def _raw(n: tuple, d: int) -> "Cyclo8":
+    """Element n / d, with (n, d) already canonical."""
+    out = object.__new__(Cyclo8)
+    out.n = n
+    out.d = d
+    return out
 
-    __slots__ = ("c",)
+
+def _reduced(n0: int, n1: int, n2: int, n3: int, d: int) -> "Cyclo8":
+    """Canonical element (n0 + n1 x + n2 x^2 + n3 x^3) / d for d > 0."""
+    g = gcd(d, n0, n1, n2, n3)
+    if g == 1:
+        return _raw((n0, n1, n2, n3), d)
+    return _raw((n0 // g, n1 // g, n2 // g, n3 // g), d // g)
+
+
+class Cyclo8:
+    """Element (n0 + n1 x + n2 x^2 + n3 x^3) / d of Q[x]/(x^4+1).
+
+    x = exp(i pi/4).  The form is canonical: d > 0 and
+    gcd(n0, n1, n2, n3, d) == 1, so equality is a tuple compare.
+    """
+
+    __slots__ = ("n", "d")
 
     def __init__(self, c0=0, c1=0, c2=0, c3=0):
-        self.c = (_as_fraction(c0), _as_fraction(c1),
-                  _as_fraction(c2), _as_fraction(c3))
+        fs = [_as_fraction(c) for c in (c0, c1, c2, c3)]
+        self.d = lcm(*(f.denominator for f in fs))
+        self.n = tuple(f.numerator * (self.d // f.denominator) for f in fs)
 
     # -- constructors -------------------------------------------------
-    @staticmethod
-    def from_rational(v: RationalLike) -> "Cyclo8":
-        return Cyclo8(_as_fraction(v))
-
     @staticmethod
     def i() -> "Cyclo8":
         return Cyclo8(0, 0, 1, 0)
@@ -60,14 +75,19 @@ class Cyclo8:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.c, other.c
-        return Cyclo8(a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
+        a0, a1, a2, a3 = self.n
+        b0, b1, b2, b3 = other.n
+        da, db = self.d, other.d
+        if da == db:
+            return _reduced(a0 + b0, a1 + b1, a2 + b2, a3 + b3, da)
+        return _reduced(a0 * db + b0 * da, a1 * db + b1 * da,
+                        a2 * db + b2 * da, a3 * db + b3 * da, da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        a = self.c
-        return Cyclo8(-a[0], -a[1], -a[2], -a[3])
+        a0, a1, a2, a3 = self.n
+        return _raw((-a0, -a1, -a2, -a3), self.d)
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -76,68 +96,51 @@ class Cyclo8:
         return self + (-other)
 
     def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
+        return -self + other
 
     def __mul__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.c, other.c
-        out = [Fraction(0)] * 4
-        for ia in range(4):
-            if not a[ia]:
-                continue
-            for ib in range(4):
-                if not b[ib]:
-                    continue
-                k = ia + ib
-                if k < 4:
-                    out[k] += a[ia] * b[ib]
-                else:
-                    out[k - 4] -= a[ia] * b[ib]
-        return Cyclo8(*out)
+        a0, a1, a2, a3 = self.n
+        b0, b1, b2, b3 = other.n
+        # 16 products, reduced by x^4 = -1
+        return _reduced(a0 * b0 - a1 * b3 - a2 * b2 - a3 * b1,
+                        a0 * b1 + a1 * b0 - a2 * b3 - a3 * b2,
+                        a0 * b2 + a1 * b1 + a2 * b0 - a3 * b3,
+                        a0 * b3 + a1 * b2 + a2 * b1 + a3 * b0,
+                        self.d * other.d)
 
     __rmul__ = __mul__
 
     def _galois(self, m: int) -> "Cyclo8":
-        # x^j -> x^(j*m) reduced by x^4 = -1
-        out = [Fraction(0)] * 4
-        for j, cj in enumerate(self.c):
-            if not cj:
-                continue
+        # x^j -> x^(j*m) reduced by x^4 = -1: a signed permutation of n
+        out = [0] * 4
+        for j, nj in enumerate(self.n):
             e = (j * m) % 8
-            if e < 4:
-                out[e] += cj
-            else:
-                out[e - 4] -= cj
-        return Cyclo8(*out)
+            out[e % 4] = nj if e < 4 else -nj
+        return _raw(tuple(out), self.d)
 
     def inverse(self) -> "Cyclo8":
         if self.is_zero():
             raise ZeroDivisionError("Cyclo8 division by zero")
         p = self._galois(3) * self._galois(5) * self._galois(7)
-        n = self * p
+        norm = self * p
         # the field norm is rational
-        assert n.c[1] == 0 and n.c[2] == 0 and n.c[3] == 0
-        return p * Cyclo8(Fraction(1, 1) / n.c[0])
+        assert norm.n[1] == norm.n[2] == norm.n[3] == 0
+        return p * norm.d / norm.n[0]
 
     def __truediv__(self, other):
-        if isinstance(other, int):
-            inv = Fraction(1, other)
-            return self * Cyclo8(inv)
+        if isinstance(other, int) and other:
+            return _reduced(*(self.n if other > 0 else (-self).n),
+                            self.d * abs(other))
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
+        return self.inverse() * other
 
     def __pow__(self, n: int):
         if n < 0:
@@ -153,16 +156,18 @@ class Cyclo8:
 
     # -- predicates ----------------------------------------------------
     def is_zero(self) -> bool:
-        return self.c == _ZERO4
+        return not any(self.n)
 
     def __eq__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.c == other.c
+        return self.n == other.n and self.d == other.d
 
     def __hash__(self):
-        return hash(self.c)
+        if any(self.n[1:]):
+            return hash((self.n, self.d))
+        return hash(Fraction(self.n[0], self.d))  # as the rational it equals
 
     def __bool__(self):
         return not self.is_zero()
@@ -170,14 +175,16 @@ class Cyclo8:
     # -- conversions ----------------------------------------------------
     def as_i_sqrt2(self):
         """Return (a, b, c, d) with value = a + b*sqrt2 + i*(c + d*sqrt2)."""
-        c0, c1, c2, c3 = self.c
+        (n0, n1, n2, n3), d = self.n, self.d
         # x = (sqrt2 + i sqrt2)/2, x^3 = (-sqrt2 + i sqrt2)/2
-        return (c0, Fraction(c1 - c3, 2), c2, Fraction(c1 + c3, 2))
+        return (Fraction(n0, d), Fraction(n1 - n3, 2 * d),
+                Fraction(n2, d), Fraction(n1 + n3, 2 * d))
 
     def to_complex(self) -> complex:
         x = cmath.exp(1j * cmath.pi / 4)
-        return (float(self.c[0]) + float(self.c[1]) * x
-                + float(self.c[2]) * x ** 2 + float(self.c[3]) * x ** 3)
+        (n0, n1, n2, n3), d = self.n, self.d
+        # int true division is correctly rounded, as float(Fraction) is
+        return n0 / d + n1 / d * x + n2 / d * x ** 2 + n3 / d * x ** 3
 
     def __repr__(self):
         a, b, c, d = self.as_i_sqrt2()
@@ -197,12 +204,12 @@ def _coerce(v):
     if isinstance(v, Cyclo8):
         return v
     if isinstance(v, (int, Fraction)):
-        return Cyclo8(v)
+        return _raw((v.numerator, 0, 0, 0), v.denominator)
     return NotImplemented
 
 
 def rational(v: RationalLike) -> Cyclo8:
-    return Cyclo8.from_rational(v)
+    return Cyclo8(v)
 
 
 class Ring:

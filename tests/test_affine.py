@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -8,8 +10,11 @@ from superloewner.affine import (DepthOverflowError, Module, Vector, act_mode,
                                  act_word, annihilator_apply, conformal_weight,
                                  expectation, mode, normal_order_product,
                                  sugawara)
+from superloewner.evolution import PROCESS_NAMES, FlowState
+from superloewner.generator import JetRing, state_drift
 from superloewner.grassmann import GrassRing, berezin
 from superloewner.scalars import EXACT, rational
+from superloewner.series import AutSeries, TailSeries
 from superloewner.superalgebra import (CriticalLevelError, PARITY, SYMBOLS,
                                        bracket_symbols, form_symbols)
 
@@ -278,3 +283,53 @@ def test_verma_floor_rules():
     ff = act_word((mode("f", 0), mode("f", 0)), v)
     assert ff == -act_mode(mode("F", 0), v)
     assert act_mode(mode("E", 2), v).is_zero()
+
+
+def test_act_cache_is_shared_by_level_floor_and_weight_only():
+    k = rational("3/4")
+    shallow, deep = Module(R, k, 2), Module(R, k, 4)
+    assert shallow._cache is deep._cache
+    others = [Module(R, rational(2), 2),
+              Module(R, k, 2, floor="verma", weight=rational(1)),
+              Module(R, k, 2, floor="verma", weight=rational(2))]
+    caches = [shallow._cache] + [m._cache for m in others]
+    assert len({id(c) for c in caches}) == len(caches)
+    # the depth bound is checked per module even on a shared cache
+    v = act_word([mode("E", -1)] * 2, vac(deep))
+    assert not act_mode(mode("E", -1), v).is_zero()
+    with pytest.raises(DepthOverflowError):
+        act_mode(mode("E", -1), Vector(shallow, v.terms))
+
+
+def _drift_state(order):
+    rng = random.Random(21)
+
+    def coeffs(n):
+        return [rational(Fraction(rng.randint(-2, 2), rng.randint(1, 3)))
+                for _ in range(n)]
+    return FlowState(rho=AutSeries(coeffs(order + 1), R),
+                     **{n: TailSeries(coeffs(order), R)
+                        for n in PROCESS_NAMES}, t=0.0)
+
+
+def test_jet_rings_keep_their_own_caches():
+    k, state = rational(1), _drift_state(3)
+    params = [(rational(2), rational("4/5")), (rational(3), rational("1/2"))]
+    first = [state_drift(state, k, kap, tau, R, 3) for kap, tau in params]
+    assert first[0] != first[1]
+    again = [state_drift(state, k, kap, tau, R, 3) for kap, tau in params[::-1]]
+    assert again[::-1] == first
+    a, b = (JetRing(R, (kap, tau, tau, tau, tau)) for kap, tau in params)
+    assert Module(a, a.constant(k), 3)._cache is not \
+        Module(b, b.constant(k), 3)._cache
+
+
+def test_dropped_jet_ring_frees_its_cache():
+    ring = JetRing(R, (rational(2),) * 5)
+    mod = Module(ring, ring.constant(rational("7/9")), 3)
+    act_word([mode("F", 1), mode("E", -1)], Vector.floor_vector(mod))
+    assert mod._cache
+    ref = weakref.ref(ring)
+    del ring, mod
+    gc.collect()
+    assert ref() is None

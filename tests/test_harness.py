@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from superloewner import harness
+from superloewner import cli, harness
 from superloewner.harness import (BlockDrivers, ConfigError,
                                   MartingaleCell, MartingaleReport, RunConfig,
                                   martingale_seed_suite, martingale_test,
@@ -311,7 +311,7 @@ def _run_cli(*args):
                           capture_output=True, text=True)
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, capsys):
     # usage error
     r = _run_cli("no-such-command")
     assert r.returncode == 2
@@ -342,6 +342,21 @@ def test_cli_exit_codes(tmp_path):
                   ("--t-max", "0")):
         r = _run_cli("martingale-test", "--paths", "200", *flags)
         assert r.returncode == 2 and "config error" in r.stderr, flags
+    # a malformed value is a config error naming the key and the value
+    for name, text in (("k", "abc"), ("paths", "1.5"), ("k", "1/0")):
+        bad.write_text(f"{name} = {text}\n")
+        assert cli.main(["--config", str(bad), "simulate"]) == 2, text
+        err = capsys.readouterr().err
+        assert "config error" in err and f"{name}: {text!r}" in err
+    for args in (("simulate", "--checkpoints", "abc"),
+                 ("verify-virasoro", "--k-list", "abc"),
+                 ("verify-annihilator", "--kappa-list", "1/0")):
+        assert cli.main(list(args)) == 2, args
+        err = capsys.readouterr().err
+        assert "config error" in err and f"{args[1]}: {args[2]!r}" in err
+    with pytest.raises(SystemExit) as exc:  # argparse rejects the flag
+        cli.main(["null-scan", "--lam", "1/0"])
+    assert exc.value.code == 2 and "--lam" in capsys.readouterr().err
 
 
 def test_cli_simulate_determinism(tmp_path):
