@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .grassmann import GrassRing, GrassmannScalar, berezin
 from .affine import Module, Vector, annihilator_apply, mode, sugawara, act_mode
-from .harness import (ConfigError, RunConfig, martingale_test,
+from .harness import (ConfigError, RunConfig, check_level, martingale_test,
                       parse_config_file, parse_value, simulate, trace,
                       trajectory_columns, trajectory_rows, write_csv,
                       write_json)
@@ -30,6 +30,13 @@ def _frac(text: str) -> Fraction:
 
 def _fracs(flag: str, text: str) -> list:
     return [parse_value(flag, s, Fraction) for s in text.split(",")]
+
+
+def _levels(text: str) -> list:
+    ks = _fracs("--k-list", text)
+    for k in ks:
+        check_level(k)
+    return ks
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -101,7 +108,7 @@ def _emit(payload, cfg_out):
 
 
 def cmd_verify_annihilator(args) -> int:
-    ks = _fracs("--k-list", args.k_list)
+    ks = _levels(args.k_list)
     kappas = _fracs("--kappa-list", args.kappa_list)
     G = GrassRing(EXACT)
     records = []
@@ -128,7 +135,7 @@ def cmd_verify_annihilator(args) -> int:
 
 
 def cmd_verify_virasoro(args) -> int:
-    ks = _fracs("--k-list", args.k_list)
+    ks = _levels(args.k_list)
     records = []
     ok = True
     for k in ks:
@@ -164,6 +171,7 @@ def cmd_null_scan(args) -> int:
     import random
     rng = random.Random(getattr(args, "seed", None) or 7)
     k = args.k if args.k is not None else Fraction(1)
+    check_level(k)
     lam = args.lam
     records = []
     ok = True

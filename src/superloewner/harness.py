@@ -43,6 +43,13 @@ class ConfigError(ValueError):
     pass
 
 
+def check_level(k) -> None:
+    """Refuse the critical level k = -3/2, where Sugawara is undefined."""
+    if k == Fraction(-3, 2):
+        raise ConfigError("k = -3/2 is the critical level, where the "
+                          "Sugawara construction is undefined")
+
+
 @dataclass
 class RunConfig:
     k: float = 1.0
@@ -74,6 +81,14 @@ class RunConfig:
         return self.tau
 
     def validate(self) -> "RunConfig":
+        for name in ("k", "kappa", "tau", "dt", "t_max"):
+            v = getattr(self, name)
+            if v is not None and not math.isfinite(v):
+                raise ConfigError(f"{name} must be finite, got {v}")
+        if not all(map(math.isfinite, self.checkpoints)):
+            raise ConfigError(f"checkpoints must be finite, got "
+                              f"{self.checkpoints}")
+        check_level(self.k)
         if self.kappa < 0:
             raise ConfigError("kappa must be nonnegative")
         if self.tau is not None and self.tau < 0:

@@ -17,9 +17,20 @@ The formal derivative of a tail series pushes c_{-N} to the dropped
 order zeta^{-N-1}; `series_derive` truncates it, so only the
 coefficients of zeta^{-n-1} with n <= N-1 of a derived series are
 order-exact.
+
+Skip rule: the kernels (`series_mul`, `series_exp`, `+`, `-`, `scale`)
+leave out a coefficient only when it is zero without a pass over paths
+(`_absent`).  A scalar -- every exact, Grassmann or jet element, and the
+`ring.zero` placeholders that truncation and `tail_shift_down` leave in
+a batch series -- is tested with `scalars.is_zero`; a numpy path batch
+is never reduced and always counts as present.  Adding an absent
+coefficient returns the other operand itself, not a copy, and
+accumulators start from their first term, not from `ring.zero`.
 """
 
 from __future__ import annotations
+
+from numpy import ndarray
 
 from .scalars import is_zero
 
@@ -31,6 +42,17 @@ class SeriesOrderError(ValueError):
 def _check(a, b):
     if a.order != b.order:
         raise SeriesOrderError(f"order mismatch: {a.order} vs {b.order}")
+
+
+def _absent(c) -> bool:
+    """The skip rule: c is a zero found without a pass over paths."""
+    return type(c) is not ndarray and is_zero(c)
+
+
+def _add(x, y):
+    if _absent(y):
+        return x
+    return y if _absent(x) else x + y
 
 
 class TailSeries:
@@ -58,19 +80,28 @@ class TailSeries:
 
     def __add__(self, other):
         _check(self, other)
-        return TailSeries([x + y for x, y in zip(self.coeffs, other.coeffs)],
-                          self.ring)
+        return TailSeries(map(_add, self.coeffs, other.coeffs), self.ring)
 
     def __sub__(self, other):
         _check(self, other)
-        return TailSeries([x - y for x, y in zip(self.coeffs, other.coeffs)],
+        return TailSeries([x if _absent(y) else -y if _absent(x) else x - y
+                           for x, y in zip(self.coeffs, other.coeffs)],
                           self.ring)
 
     def __neg__(self):
         return TailSeries([-x for x in self.coeffs], self.ring)
 
     def scale(self, s):
-        return TailSeries([c * s for c in self.coeffs], self.ring)
+        return TailSeries([c if _absent(c) else c * s for c in self.coeffs],
+                          self.ring)
+
+    def add_scaled(self, other, s):
+        """self + other * s in one pass over the coefficients."""
+        _check(self, other)
+        return TailSeries([x if _absent(y) else y * s if _absent(x)
+                           else x + y * s
+                           for x, y in zip(self.coeffs, other.coeffs)],
+                          self.ring)
 
     def __mul__(self, other):
         if isinstance(other, TailSeries):
@@ -151,10 +182,9 @@ class AutSeries:
     def __add__(self, other):
         if isinstance(other, TailSeries):
             _check(self, other)
-            out = list(self.coeffs)
-            for j, c in enumerate(other.coeffs):
-                out[j + 1] = out[j + 1] + c
-            return AutSeries(out, self.ring)
+            return AutSeries([self.coeffs[0],
+                              *map(_add, self.coeffs[1:], other.coeffs)],
+                             self.ring)
         raise TypeError("AutSeries absorbs tail perturbations only")
 
     def shift(self, s):
@@ -169,10 +199,7 @@ class AutSeries:
         The a_{-N} coefficient would sit at z^{-N-1} and is dropped; this
         is the standard geometric-series gateway for 1/rho.
         """
-        c = [self.ring.zero] * self.order
-        for j in range(self.order):
-            c[j] = self.coeffs[j]
-        return TailSeries(c, self.ring)
+        return TailSeries(self.coeffs[:-1], self.ring)
 
     def __repr__(self):
         terms = ["z"]
@@ -186,18 +213,18 @@ def series_mul(a: TailSeries, b: TailSeries) -> TailSeries:
     """Cauchy product, powers below zeta^{-N} discarded."""
     _check(a, b)
     n = a.order
-    ring = a.ring
-    out = [ring.zero] * n
-    for i, ca in enumerate(a.coeffs):
-        if is_zero(ca):
+    out = [None] * n
+    bs = [None if _absent(cb) else cb for cb in b.coeffs]
+    for i, ca in enumerate(a.coeffs[:-1]):
+        if _absent(ca):
             continue
         # zeta^{-(i+1)} * zeta^{-(j+1)} = zeta^{-(i+j+2)}
-        for j in range(n - i - 2 + 1):
-            cb = b.coeffs[j]
-            if is_zero(cb):
-                continue
-            out[i + j + 1] = out[i + j + 1] + ca * cb
-    return TailSeries(out, ring)
+        for j, cb in enumerate(bs[:n - i - 1]):
+            if cb is not None:
+                acc = out[i + j + 1]
+                out[i + j + 1] = ca * cb if acc is None else acc + ca * cb
+    zero = a.ring.zero
+    return TailSeries([zero if c is None else c for c in out], a.ring)
 
 
 def tail_shift_down(a: TailSeries) -> TailSeries:
@@ -207,13 +234,11 @@ def tail_shift_down(a: TailSeries) -> TailSeries:
 
 def series_inv_aut(rho: AutSeries) -> TailSeries:
     """1/rho(zeta) = zeta^{-1} sum_m (-(rho - z) z^{-1})^m, truncated."""
-    n = rho.order
     ring = rho.ring
-    t = rho.below_leading()
-    acc = TailSeries.zero(n, ring)   # sum_{m>=1} (-t)^m
-    power = None
-    for _ in range(n):
-        power = -t if power is None else series_mul(power, -t)
+    neg_t = -rho.below_leading()
+    acc = power = neg_t              # sum_{m>=1} (-t)^m
+    for _ in range(rho.order - 1):
+        power = series_mul(power, neg_t)
         acc = acc + power
     shifted = tail_shift_down(acc)   # zeta^{-1} * (1 + acc)
     coeffs = list(shifted.coeffs)
@@ -223,16 +248,13 @@ def series_inv_aut(rho: AutSeries) -> TailSeries:
 
 def series_exp(a: TailSeries) -> ExpSeries:
     """exp(a) = 1 + sum_{m=1..N} a^m / m!, exact at the truncation order."""
-    n = a.order
-    acc = TailSeries.zero(n, a.ring)
-    power = None
-    fact = 1
-    for m in range(1, n + 1):
-        power = a if power is None else series_mul(power, a)
-        fact *= m
-        acc = acc + TailSeries([c / fact for c in power.coeffs], a.ring)
-        if power.is_zero():
+    acc = term = a
+    for m in range(2, a.order + 1):
+        term = series_mul(term, a)
+        if all(map(_absent, term.coeffs)):
             break
+        term = term.scale(a.ring.one / m)    # a^m / m!
+        acc = acc + term
     return ExpSeries(acc)
 
 
@@ -254,7 +276,7 @@ def substitute(a: TailSeries, rho: AutSeries) -> TailSeries:
     for j in range(1, a.order + 1):
         upow = u if upow is None else series_mul(upow, u)
         c = a.coeffs[j - 1]
-        if not is_zero(c):
+        if not _absent(c):
             out = out + upow.scale(c)
     return out
 
@@ -265,13 +287,8 @@ def aut_compose(rho: AutSeries, mu: AutSeries) -> AutSeries:
     ring = rho.ring
     out = list(rho.coeffs)
     out[0] = out[0] + mu.coeffs[0]
-    tail_part = substitute(
-        TailSeries([ring.zero] * rho.order, ring)
-        if all(is_zero(c) for c in mu.coeffs[1:])
-        else TailSeries(list(mu.coeffs[1:]), ring),
-        rho)
-    res = AutSeries(out, ring)
-    return res + tail_part
+    return AutSeries(out, ring) + substitute(TailSeries(mu.coeffs[1:], ring),
+                                             rho)
 
 
 def series_equal(a, b) -> bool:

@@ -1,13 +1,15 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from superloewner.affine import Module, Vector, act_mode, act_word, mode
-from superloewner.evolution import (assemble_state_vector, aut_to_virasoro,
+from superloewner.evolution import (DRIVERS, PROCESS_NAMES, FlowState,
+                                    assemble_state_vector, aut_to_virasoro,
                                     flow_step, initial_state, loewner_step,
                                     sugawara)
-from superloewner.scalars import EXACT, rational
+from superloewner.scalars import COMPLEX, EXACT, rational, to_complex
 from superloewner.series import (AutSeries, TailSeries, series_equal,
                                  substitute)
 
@@ -292,3 +294,49 @@ def test_flow_step_updates_everything():
     assert not out.xH.is_zero()
     assert not out.x1f.is_zero()
     assert out.t == pytest.approx(0.01)
+
+
+@pytest.mark.parametrize("variant", ["derived", "displayed"])
+def test_batch_step_matches_exact_step(variant):
+    # a 3-path COMPLEX batch, the third path all zero, each path with its
+    # own increments, against the exact step of each path cast to complex
+    from dataclasses import replace
+    rng = random.Random(4242)
+
+    def q():
+        return rational(Fraction(rng.randint(-3, 3), rng.randint(2, 6)))
+
+    states = [replace(initial_state(N, R),
+                      rho=AutSeries([q() for _ in range(N + 1)], R),
+                      **{n: TailSeries([q() for _ in range(N)], R)
+                         for n in PROCESS_NAMES})
+              for _ in range(2)] + [initial_state(N, R)]
+    incs = [[{d: rational(Fraction(rng.randint(-9, 9), rng.randint(20, 60)))
+              for d in DRIVERS} for _ in states] for _ in range(2)]
+    dt, tau = rational("1/100"), rational("4/5")
+
+    def batch(series, cls):
+        return cls([np.array([to_complex(c) for c in cs])
+                    for cs in zip(*(x.coeffs for x in series))], COMPLEX)
+
+    def names():
+        return ("rho",) + PROCESS_NAMES
+
+    b = FlowState(**{n: batch([getattr(s, n) for s in states],
+                              AutSeries if n == "rho" else TailSeries)
+                     for n in names()}, t=0.0)
+    for step in incs:
+        states = [flow_step(s, dt, inc, tau, variant=variant)
+                  for s, inc in zip(states, step)]
+        b = flow_step(b, to_complex(dt).real,
+                      {d: np.array([to_complex(inc[d]).real for inc in step])
+                       for d in DRIVERS},
+                      to_complex(tau).real, ring=COMPLEX, variant=variant)
+    for name in names():
+        got = getattr(b, name).coeffs
+        for path, s in enumerate(states):
+            want = [to_complex(c) for c in getattr(s, name).coeffs]
+            for j, (g, w) in enumerate(zip(got, want)):
+                g = complex(np.broadcast_to(g, (len(states),))[path])
+                assert abs(g - w) <= 1e-12 * max(1.0, abs(w)), \
+                    (name, j, path, g, w)

@@ -44,6 +44,34 @@ def test_config_validation():
     RunConfig(depth=2, word_depth=2).validate()
 
 
+@pytest.mark.parametrize("name", ["k", "kappa", "tau", "dt", "t_max"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   float("-inf")])
+def test_non_finite_numbers_are_rejected(name, value):
+    with pytest.raises(ConfigError, match=f"{name} must be finite"):
+        RunConfig(**{name: value}).validate()
+
+
+def test_critical_level_is_rejected():
+    with pytest.raises(ConfigError, match="critical level"):
+        RunConfig(k=-1.5).validate()
+    with pytest.raises(ConfigError, match="critical level"):
+        RunConfig(k=-1.5, tau=0.8).validate()
+
+
+@pytest.mark.parametrize("args", [
+    ("--k", "nan"),        # exited 0 with nan columns
+    ("--kappa", "inf"),    # exited 0
+    ("--dt", "nan"),       # ValueError from round(nan) inside validate
+    ("--checkpoints", "nan"),
+])
+def test_cli_rejects_non_finite_numbers(args, capsys):
+    assert cli.main(["simulate", "--paths", "5", "--t-max", "0.002",
+                     *args]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "must be finite" in err
+
+
 def test_times_off_the_step_grid_are_rejected():
     # dt = 0.003 would silently record t = 0.006 and 0.009
     with pytest.raises(ConfigError, match="whole number of steps"):
@@ -357,6 +385,16 @@ def test_cli_exit_codes(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:  # argparse rejects the flag
         cli.main(["null-scan", "--lam", "1/0"])
     assert exc.value.code == 2 and "--lam" in capsys.readouterr().err
+    # the critical level k = -3/2 is a config error in every subcommand
+    for args in (("simulate", "--k", "-1.5"),
+                 ("martingale-test", "--k", "-1.5"),
+                 ("trace", "--k", "-1.5"),
+                 ("verify-virasoro", "--k-list=-3/2"),
+                 ("verify-annihilator", "--k-list=1,-3/2"),
+                 ("null-scan", "--k=-3/2")):
+        assert cli.main(list(args)) == 2, args
+        err = capsys.readouterr().err
+        assert "config error" in err and "critical level" in err, args
 
 
 def test_cli_simulate_determinism(tmp_path):

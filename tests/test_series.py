@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from superloewner.scalars import EXACT, rational
+from superloewner.scalars import EXACT, Cyclo8, rational
 from superloewner.series import (AutSeries, SeriesOrderError, TailSeries,
                                  aut_compose, series_derive, series_equal,
                                  series_exp, series_inv_aut, series_mul,
@@ -193,3 +193,23 @@ def test_aut_absorbs_tail_only():
     assert bumped.coeff(-1) == rational(2)
     with pytest.raises(TypeError):
         rho + rho
+
+
+def test_exact_rings_keep_their_zero_skips(monkeypatch):
+    calls = []
+    mul = Cyclo8.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(Cyclo8, "__mul__", counted)
+    a = TailSeries.monomial(-1, rational(2), 4, R)
+    b = TailSeries.monomial(-2, rational(3), 4, R)
+    p = series_mul(a, b)
+    assert len(calls) == 1
+    assert p.coeff(-3) == rational(6) and p.coeff(-4) == R.zero
+    calls.clear()
+    e = series_exp(TailSeries.monomial(-3, rational(5), 4, R))
+    assert not calls
+    assert e.coeff(-3) == rational(5) and e.tail.coeff(-4) == R.zero
