@@ -1,25 +1,26 @@
 """Command line interface.
 
 Subcommands: verify-annihilator, verify-virasoro, null-scan, simulate,
-martingale-test, trace.  Flags override config-file values; exit code 0
-means every check passed, 1 means a check failed, 2 a usage or config
-error.  Verification subcommands take exact rationals ("1/2" works).
+martingale-test, trace, each with only the flags it reads.  The three
+run commands also read a config file; a flag overrides it and parses as
+the config value of its field does ("1/2" works).  Exit code 0 means
+every check passed, 1 means a check failed, 2 a usage or config error.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import functools
 import json
 import sys
 from fractions import Fraction
 
 from .grassmann import GrassRing, GrassmannScalar, berezin
 from .affine import Module, Vector, annihilator_apply, mode, sugawara, act_mode
-from .harness import (ConfigError, RunConfig, check_level, martingale_test,
-                      parse_config_file, parse_value, simulate, trace,
-                      trajectory_columns, trajectory_rows, write_csv,
-                      write_json)
+from .harness import (ConfigError, RunConfig, check_level, convert_field,
+                      csv_text, martingale_test, parse_config_file,
+                      parse_value, simulate, trace, trajectory_columns,
+                      trajectory_rows, write_csv, write_json)
 from .nullscan import null_conditions
 from .scalars import EXACT
 
@@ -39,65 +40,64 @@ def _levels(text: str) -> list:
     return ks
 
 
+# the RunConfig fields each run command reads; their flags are
+# converted by harness.convert_field, as config-file values are
+_SIM_FLAGS = ("k", "kappa", "tau", "order", "dt", "t_max", "paths", "seed",
+              "out", "format", "checkpoints", "variant")
+_RUN_FLAGS = {
+    "simulate": _SIM_FLAGS,
+    "martingale-test": tuple(f for f in _SIM_FLAGS if f != "format"),
+    "trace": ("kappa", "dt", "t_max", "seed", "out", "format"),
+}
+_HELP = {"checkpoints": "comma separated times, e.g. 0.1,0.25"}
+
+
+def _flag(field: str) -> str:
+    return "--" + field.replace("_", "-")
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
-        prog="superloewner",
+        prog="superloewner", allow_abbrev=False,
         description="SLE with osp(1|2) internal symmetry: verification "
                     "and simulation")
-    p.add_argument("--config", help="key=value config file")
+    p.add_argument("--config", help="key=value config file (simulate, "
+                                    "martingale-test and trace only)")
     sub = p.add_subparsers(dest="command", required=True)
+    # no prefix matching: "--k" must not stand for "--k-list" or "--kappa"
+    add = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    def common(sp, rational_params=False):
-        conv = _frac if rational_params else float
-        sp.add_argument("--k", type=conv)
-        sp.add_argument("--kappa", type=conv)
-        sp.add_argument("--tau", type=conv)
-        sp.add_argument("--order", type=int)
-        sp.add_argument("--depth", type=int)
-        sp.add_argument("--dt", type=float)
-        sp.add_argument("--t-max", dest="t_max", type=float)
-        sp.add_argument("--paths", type=int)
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--out")
-        sp.add_argument("--format", choices=("csv", "json"))
-
-    sp = sub.add_parser("verify-annihilator",
-                        help="exact Berezin annihilator identity")
-    common(sp, rational_params=True)
+    sp = add("verify-annihilator", help="exact Berezin annihilator identity")
     sp.add_argument("--k-list", default="1/2,1,3,10")
     sp.add_argument("--kappa-list", default="2,8/3,4")
+    sp.add_argument("--out")
 
-    sp = sub.add_parser("verify-virasoro",
-                        help="exact Virasoro bracket and central charge")
-    common(sp, rational_params=True)
+    sp = add("verify-virasoro",
+             help="exact Virasoro bracket and central charge")
     sp.add_argument("--k-list", default="1/2,1,3")
+    sp.add_argument("--out")
 
-    sp = sub.add_parser("null-scan",
-                        help="null-vector residual scan on the Verma layer")
-    common(sp, rational_params=True)
+    sp = add("null-scan",
+             help="null-vector residual scan on the Verma layer")
+    sp.add_argument("--k", type=_frac, default=Fraction(1))
     sp.add_argument("--lam", type=_frac, default=Fraction(1))
     sp.add_argument("--samples", type=int, default=10)
+    sp.add_argument("--seed", type=int, default=7)
+    sp.add_argument("--out")
 
-    for name in ("simulate", "martingale-test", "trace"):
-        sp = sub.add_parser(name)
-        common(sp)
-        sp.add_argument("--checkpoints",
-                        help="comma separated times, e.g. 0.1,0.25")
-        sp.add_argument("--variant", choices=("derived", "displayed"))
+    for name, fields in _RUN_FLAGS.items():
+        sp = add(name)
+        for f in fields:
+            sp.add_argument(_flag(f), dest=f, help=_HELP.get(f))
     return p
 
 
 def _merge_config(args) -> RunConfig:
-    values = {}
-    if args.config:
-        values.update(parse_config_file(args.config))
-    for f in dataclasses.fields(RunConfig):
-        v = getattr(args, f.name, None)
-        if v is not None:
-            if f.name == "checkpoints" and isinstance(v, str):
-                v = tuple(parse_value("--checkpoints", x, float)
-                          for x in v.split(",") if x)
-            values[f.name] = float(v) if isinstance(v, Fraction) else v
+    values = parse_config_file(args.config) if args.config else {}
+    for f in _RUN_FLAGS[args.command]:
+        text = getattr(args, f)
+        if text is not None:
+            values[f] = convert_field(f, text, _flag(f))
     return RunConfig(**values).validate()
 
 
@@ -169,10 +169,11 @@ def cmd_verify_virasoro(args) -> int:
 
 def cmd_null_scan(args) -> int:
     import random
-    rng = random.Random(getattr(args, "seed", None) or 7)
-    k = args.k if args.k is not None else Fraction(1)
+    if args.samples < 1:
+        raise ConfigError("null-scan needs at least one sample")
+    rng = random.Random(args.seed)
+    k, lam = args.k, args.lam
     check_level(k)
-    lam = args.lam
     records = []
     ok = True
     for i in range(args.samples):
@@ -204,19 +205,16 @@ def cmd_null_scan(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _merge_config(args)
-    result = simulate(cfg)
-    rows = trajectory_rows(result, path=0)
+    rows = trajectory_rows(simulate(cfg), path=0)
     cols = trajectory_columns(cfg.order)
-    if cfg.out and cfg.format == "csv":
+    if not cfg.out:
+        sys.stdout.write(csv_text(cols, rows))
+        return 0
+    if cfg.format == "csv":
         write_csv(cfg.out, cols, rows)
-        print(f"wrote {len(rows)} checkpoint rows to {cfg.out}")
-    elif cfg.out:
-        write_json(cfg.out, {"columns": cols, "rows": rows})
-        print(f"wrote {len(rows)} checkpoint rows to {cfg.out}")
     else:
-        print(",".join(cols))
-        for row in rows:
-            print(",".join("%.17g" % v for v in row))
+        write_json(cfg.out, {"columns": cols, "rows": rows})
+    print(f"wrote {len(rows)} checkpoint rows to {cfg.out}")
     return 0
 
 
@@ -232,14 +230,13 @@ def cmd_martingale_test(args) -> int:
 def cmd_trace(args) -> int:
     cfg = _merge_config(args)
     result = trace(cfg)
-    payload = result.to_json()
     if cfg.out and cfg.format == "csv":
         rows = [[t, z.real, z.imag, s] for t, z, s in
                 zip(result.times, result.tips, result.swallowed)]
         write_csv(cfg.out, ["t", "tip.re", "tip.im", "swallowed"], rows)
         print(f"wrote {len(rows)} trace rows to {cfg.out}")
     else:
-        _emit(payload, cfg.out)
+        _emit(result.to_json(), cfg.out)
     return 0
 
 
@@ -254,9 +251,11 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        if args.config and args.command not in _RUN_FLAGS:
+            raise ConfigError(f"--config applies to {', '.join(_RUN_FLAGS)}"
+                              f" only, not {args.command}")
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -86,17 +86,18 @@ def initial_state(order: int, ring) -> FlowState:
                      x12E=z, x12H=z, x12F=z, t=0.0)
 
 
-def sde_terms(state: FlowState, tau, ring, variant: str = "derived") -> dict:
+def sde_terms(state: FlowState, u: TailSeries, tau, ring,
+              variant: str = "derived") -> dict:
     """Drift and per-driver diffusion of every internal process.
 
     Returns {name: {"dt": (base, s), "B1": (base, s), ..., "Ba": ...}}
     with absent drivers omitted: each term is the TailSeries base times
     the ring scalar s.  Terms of one process that share a base share the
     object, so a step forms one scalar per distinct base and makes one
-    pass over its coefficients.  tau is a ring scalar.
+    pass over its coefficients.  tau is a ring scalar; u is 1/rho_t, which
+    the caller also feeds to the Loewner step, so one step builds it once.
     """
     a, b, c = state.xE, state.xH, state.xF
-    u = series_inv_aut(state.rho)
     u2 = series_mul(u, u)
     nb = -b
     ep = series_exp(b)
@@ -166,7 +167,10 @@ def sde_terms(state: FlowState, tau, ring, variant: str = "derived") -> dict:
 
 def loewner_step(rho: AutSeries, dt, dB0) -> AutSeries:
     """Euler step of d rho(z) = (2/rho(z)) dt - dB0."""
-    u = series_inv_aut(rho)
+    return _loewner_euler(rho, series_inv_aut(rho), dt, dB0)
+
+
+def _loewner_euler(rho: AutSeries, u: TailSeries, dt, dB0) -> AutSeries:
     out = rho + u.scale(rho.ring.from_int(2) * dt)
     return out.shift(-dB0)
 
@@ -189,10 +193,11 @@ def flow_step(state: FlowState, dt, incs: dict, tau, ring=None,
               variant: str = "derived") -> FlowState:
     """Full simultaneous Euler step; incs maps driver name to increment."""
     ring = ring or state.rho.ring
-    terms = sde_terms(state, tau, ring, variant=variant)
+    u = series_inv_aut(state.rho)
+    terms = sde_terms(state, u, tau, ring, variant=variant)
     new = {n: _stepped(getattr(state, n), terms[n], dt, incs)
            for n in PROCESS_NAMES}
-    rho = loewner_step(state.rho, dt, incs["B0"])
+    rho = _loewner_euler(state.rho, u, dt, incs["B0"])
     t_inc = dt if isinstance(dt, float) else to_complex(dt).real
     return replace(state, rho=rho, t=state.t + t_inc, **new)
 

@@ -152,7 +152,8 @@ def jet_state(state: FlowState, kappa, tau, ring, variant: str = "derived"):
     Loewner equation (rho).  Returns (jet_ring, FlowState over jets).
     """
     spec = JetRing(ring, (kappa, tau, tau, tau, tau))
-    terms = sde_terms(state, tau, ring, variant=variant)
+    u = series_inv_aut(state.rho)
+    terms = sde_terms(state, u, tau, ring, variant=variant)
     n = state.order
     zb = ring.zero
 
@@ -170,7 +171,6 @@ def jet_state(state: FlowState, kappa, tau, ring, variant: str = "derived"):
                                            [coeff(d, j) for d in DRIVERS])
                            for j in range(n)], spec)
 
-    u = series_inv_aut(state.rho)
     rho_coeffs = []
     for j in range(n + 1):
         val = state.rho.coeffs[j]

@@ -128,11 +128,6 @@ class RunConfig:
         return [self.t_max]
 
 
-_INT_KEYS = {"order", "depth", "paths", "seed", "trace_nx", "trace_ny",
-             "word_depth"}
-_STR_KEYS = {"out", "format", "variant"}
-
-
 def parse_value(key: str, text: str, convert):
     """convert(text), or a ConfigError naming the key and the value."""
     try:
@@ -141,9 +136,25 @@ def parse_value(key: str, text: str, convert):
         raise ConfigError(f"bad value for {key}: {text!r}") from None
 
 
+def _real(text: str) -> float:
+    # float, not Fraction, reads nan and inf, which validate then names
+    return float(Fraction(text)) if "/" in text else float(text)
+
+
+# RunConfig field annotations are strings; the first type names the parser
+_CONVERTERS = {"int": int, "str": str, "float": _real,
+               "tuple": lambda t: tuple(_real(x) for x in t.split(",") if x)}
+_FIELDS = {f.name: _CONVERTERS[f.type.split("|")[0].strip()]
+           for f in dataclasses.fields(RunConfig)}
+
+
+def convert_field(name: str, text: str, key: str | None = None):
+    """Text for RunConfig field `name` as its type; errors name `key`."""
+    return parse_value(key or name, text, _FIELDS[name])
+
+
 def parse_config_file(path: str) -> dict:
     """Plain key=value file; '#' starts a comment; keys match RunConfig."""
-    known = {f.name for f in dataclasses.fields(RunConfig)}
     values: dict = {}
     bad = set()
     with open(path) as fh:
@@ -155,19 +166,10 @@ def parse_config_file(path: str) -> dict:
                 raise ConfigError(f"{path}:{lineno}: expected key=value")
             key, _, val = line.partition("=")
             key = key.strip()
-            val = val.strip()
-            if key not in known:
-                bad.add(key)
-            elif key == "checkpoints":
-                values[key] = tuple(parse_value(key, v, float)
-                                    for v in val.split(",") if v)
-            elif key in _INT_KEYS:
-                values[key] = parse_value(key, val, int)
-            elif key in _STR_KEYS:
-                values[key] = val
+            if key in _FIELDS:
+                values[key] = convert_field(key, val.strip())
             else:
-                real = (lambda t: float(Fraction(t))) if "/" in val else float
-                values[key] = parse_value(key, val, real)
+                bad.add(key)
     if bad:
         raise ConfigError(f"unknown config keys: {sorted(bad)}")
     return values
@@ -511,11 +513,7 @@ def trajectory_rows(result: SimResult, path: int = 0) -> list:
     rows = []
     for cp in result.checkpoints:
         row = [cp.t]
-        for c in cp.state.rho.coeffs:
-            z = complex(np.asarray(c).ravel()[path]) \
-                if np.ndim(c) else complex(c)
-            row += [z.real, z.imag]
-        for name in PROCESS_NAMES:
+        for name in ("rho",) + PROCESS_NAMES:
             for c in getattr(cp.state, name).coeffs:
                 z = complex(np.asarray(c).ravel()[path]) \
                     if np.ndim(c) else complex(c)
@@ -524,15 +522,15 @@ def trajectory_rows(result: SimResult, path: int = 0) -> list:
     return rows
 
 
+def csv_text(columns: list, rows: list) -> str:
+    lines = [",".join(columns)]
+    lines += [",".join("%.17g" % v for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def write_csv(path: str, columns: list, rows: list) -> None:
     with open(path, "w") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _fmt(v) -> str:
-    return "%.17g" % v
+        fh.write(csv_text(columns, rows))
 
 
 def write_json(path: str, payload) -> None:

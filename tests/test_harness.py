@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import subprocess
@@ -385,16 +386,88 @@ def test_cli_exit_codes(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:  # argparse rejects the flag
         cli.main(["null-scan", "--lam", "1/0"])
     assert exc.value.code == 2 and "--lam" in capsys.readouterr().err
-    # the critical level k = -3/2 is a config error in every subcommand
+    # the critical level k = -3/2 is a config error in every subcommand;
+    # trace reads k from a config file only
+    bad.write_text("k = -3/2\n")
     for args in (("simulate", "--k", "-1.5"),
                  ("martingale-test", "--k", "-1.5"),
-                 ("trace", "--k", "-1.5"),
+                 ("--config", str(bad), "trace"),
                  ("verify-virasoro", "--k-list=-3/2"),
                  ("verify-annihilator", "--k-list=1,-3/2"),
                  ("null-scan", "--k=-3/2")):
         assert cli.main(list(args)) == 2, args
         err = capsys.readouterr().err
         assert "config error" in err and "critical level" in err, args
+    # a scan with no samples confirms nothing
+    for n in ("0", "-3"):
+        assert cli.main(["null-scan", "--samples", n]) == 2, n
+        assert "config error" in capsys.readouterr().err
+
+
+_FLAG_SETS = {
+    "verify-annihilator": {"--k-list", "--kappa-list", "--out"},
+    "verify-virasoro": {"--k-list", "--out"},
+    "null-scan": {"--k", "--lam", "--samples", "--seed", "--out"},
+    "simulate": {"--k", "--kappa", "--tau", "--order", "--dt", "--t-max",
+                 "--paths", "--seed", "--out", "--format", "--checkpoints",
+                 "--variant"},
+    "trace": {"--kappa", "--dt", "--t-max", "--seed", "--out", "--format"},
+}
+_FLAG_SETS["martingale-test"] = _FLAG_SETS["simulate"] - {"--format"}
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads(tmp_path, capsys):
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {name: {o for a in sp._actions for o in a.option_strings
+                  if o not in ("-h", "--help")}
+           for name, sp in sub.choices.items()}
+    assert got == _FLAG_SETS
+    assert sum(map(len, got.values())) == 39
+    cfg = tmp_path / "f.cfg"
+    cfg.write_text("k = 2\n")
+    for args in (("verify-virasoro", "--k", "2"),
+                 ("trace", "--paths", "7"),
+                 ("trace", "--k", "1"),
+                 ("martingale-test", "--format", "csv"),
+                 ("simulate", "--depth", "4")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(args))
+        assert exc.value.code == 2, args
+    assert cli.main(["--config", str(cfg), "verify-annihilator"]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_run_flags_parse_like_config_values(tmp_path, capsys):
+    args = ["--paths", "6", "--t-max", "0.002", "--seed", "3",
+            "--order", "3"]
+    assert cli.main(["simulate", *args, "--k", "0.5", "--kappa",
+                     "2.6666666666666665", "--tau", "0.5"]) == 0
+    decimal = capsys.readouterr().out
+    assert cli.main(["simulate", *args, "--k", "1/2", "--kappa", "8/3",
+                     "--tau", "1/2"]) == 0
+    assert capsys.readouterr().out == decimal
+    cfg = tmp_path / "r.cfg"
+    cfg.write_text("k = 1/2\nkappa = 8/3\ntau = 1/2\n")
+    assert cli.main(["--config", str(cfg), "simulate", *args]) == 0
+    assert capsys.readouterr().out == decimal
+    out = tmp_path / "s.csv"
+    assert cli.main(["--config", str(cfg), "simulate", *args,
+                     "--out", str(out)]) == 0
+    assert out.read_text() == decimal
+    for flag, text in (("--paths", "1.5"), ("--k", "1/0"), ("--t-max", "x")):
+        assert cli.main(["simulate", flag, text]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: bad value for {flag}: {text!r}" in err
+
+
+def test_null_scan_honours_seed_zero(capsys):
+    outs = []
+    for seed in ("0", "7"):
+        assert cli.main(["null-scan", "--samples", "2", "--seed", seed]) == 0
+        outs.append(json.loads(capsys.readouterr().out))
+    assert outs[0] != outs[1]
 
 
 def test_cli_simulate_determinism(tmp_path):
