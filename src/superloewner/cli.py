@@ -2,25 +2,26 @@
 
 Subcommands: verify-annihilator, verify-virasoro, null-scan, simulate,
 martingale-test, trace, each with only the flags it reads.  The three
-run commands also read a config file; a flag overrides it and parses as
-the config value of its field does ("1/2" works).  Exit code 0 means
-every check passed, 1 means a check failed, 2 a usage or config error.
+run commands also read a config file, but only the keys they read; a
+flag overrides it and parses as the config value of its field does
+("1/2" works).  Exit code 0 means every check passed, 1 means a check
+failed, 2 a usage or config error.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from fractions import Fraction
 
 from .grassmann import GrassRing, GrassmannScalar, berezin
 from .affine import Module, Vector, annihilator_apply, mode, sugawara, act_mode
 from .harness import (ConfigError, RunConfig, check_level, convert_field,
-                      csv_text, martingale_test, parse_config_file,
-                      parse_value, simulate, trace, trajectory_columns,
-                      trajectory_rows, write_csv, write_json)
+                      csv_text, json_text, martingale_test,
+                      parse_config_file, parse_value, simulate, trace,
+                      trajectory_columns, trajectory_rows, write_csv,
+                      write_json)
 from .nullscan import null_conditions
 from .scalars import EXACT
 
@@ -48,6 +49,13 @@ _RUN_FLAGS = {
     "simulate": _SIM_FLAGS,
     "martingale-test": tuple(f for f in _SIM_FLAGS if f != "format"),
     "trace": ("kappa", "dt", "t_max", "seed", "out", "format"),
+}
+# the RunConfig fields each run command reads from a config file only
+_CONFIG_ONLY = {
+    "simulate": (),
+    "martingale-test": ("depth", "word_depth"),
+    "trace": ("trace_xmax", "trace_ymax", "trace_nx", "trace_ny",
+              "trace_eps"),
 }
 _HELP = {"checkpoints": "comma separated times, e.g. 0.1,0.25"}
 
@@ -98,13 +106,34 @@ def _merge_config(args) -> RunConfig:
         text = getattr(args, f)
         if text is not None:
             values[f] = convert_field(f, text, _flag(f))
-    return RunConfig(**values).validate()
+    cfg = RunConfig(**values).validate()
+    unread = set(values) - {*_RUN_FLAGS[args.command],
+                            *_CONFIG_ONLY[args.command]}
+    if unread:
+        raise ConfigError(f"config keys {sorted(unread)} are not read by "
+                          f"{args.command}")
+    return cfg
 
 
 def _emit(payload, cfg_out):
     if cfg_out:
         write_json(cfg_out, payload)
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(json_text(payload), end="")
+
+
+def _write_rows(cfg, cols, rows, payload, noun) -> int:
+    """The rows as cfg.format (payload is the JSON), to cfg.out or stdout."""
+    as_csv = cfg.format == "csv"
+    if not cfg.out:
+        sys.stdout.write(csv_text(cols, rows) if as_csv
+                         else json_text(payload))
+    else:
+        if as_csv:
+            write_csv(cfg.out, cols, rows)
+        else:
+            write_json(cfg.out, payload)
+        print(f"wrote {len(rows)} {noun} rows to {cfg.out}")
+    return 0
 
 
 def cmd_verify_annihilator(args) -> int:
@@ -207,15 +236,8 @@ def cmd_simulate(args) -> int:
     cfg = _merge_config(args)
     rows = trajectory_rows(simulate(cfg), path=0)
     cols = trajectory_columns(cfg.order)
-    if not cfg.out:
-        sys.stdout.write(csv_text(cols, rows))
-        return 0
-    if cfg.format == "csv":
-        write_csv(cfg.out, cols, rows)
-    else:
-        write_json(cfg.out, {"columns": cols, "rows": rows})
-    print(f"wrote {len(rows)} checkpoint rows to {cfg.out}")
-    return 0
+    return _write_rows(cfg, cols, rows, {"columns": cols, "rows": rows},
+                       "checkpoint")
 
 
 def cmd_martingale_test(args) -> int:
@@ -230,14 +252,10 @@ def cmd_martingale_test(args) -> int:
 def cmd_trace(args) -> int:
     cfg = _merge_config(args)
     result = trace(cfg)
-    if cfg.out and cfg.format == "csv":
-        rows = [[t, z.real, z.imag, s] for t, z, s in
-                zip(result.times, result.tips, result.swallowed)]
-        write_csv(cfg.out, ["t", "tip.re", "tip.im", "swallowed"], rows)
-        print(f"wrote {len(rows)} trace rows to {cfg.out}")
-    else:
-        _emit(result.to_json(), cfg.out)
-    return 0
+    rows = [[t, z.real, z.imag, s] for t, z, s in
+            zip(result.times, result.tips, result.swallowed)]
+    return _write_rows(cfg, ["t", "tip.re", "tip.im", "swallowed"], rows,
+                       result.to_json(), "trace")
 
 
 _COMMANDS = {

@@ -187,8 +187,8 @@ class BlockDrivers:
 
     def step(self) -> dict:
         raw = self._rng.standard_normal((5, self.paths))
-        return {name: raw[d] * self.scales[d]
-                for d, name in enumerate(("B0", "B1", "B2", "B3", "Ba"))}
+        raw *= self.scales[:, None]
+        return dict(zip(("B0", "B1", "B2", "B3", "Ba"), raw))
 
 
 def _batch_initial_state(order: int, paths: int) -> FlowState:
@@ -533,7 +533,10 @@ def write_csv(path: str, columns: list, rows: list) -> None:
         fh.write(csv_text(columns, rows))
 
 
+def json_text(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def write_json(path: str, payload) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json_text(payload))

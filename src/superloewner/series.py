@@ -18,14 +18,38 @@ order zeta^{-N-1}; `series_derive` truncates it, so only the
 coefficients of zeta^{-n-1} with n <= N-1 of a derived series are
 order-exact.
 
-Skip rule: the kernels (`series_mul`, `series_exp`, `+`, `-`, `scale`)
-leave out a coefficient only when it is zero without a pass over paths
-(`_absent`).  A scalar -- every exact, Grassmann or jet element, and the
-`ring.zero` placeholders that truncation and `tail_shift_down` leave in
-a batch series -- is tested with `scalars.is_zero`; a numpy path batch
-is never reduced and always counts as present.  Adding an absent
-coefficient returns the other operand itself, not a copy, and
-accumulators start from their first term, not from `ring.zero`.
+Skip rule: the kernels (`series_mul`, `series_exp`, `series_inv_aut`,
+`+`, `-`, `scale`, `add_scaled`) leave out a coefficient only when it is
+zero without a pass over paths (`_absent`).  A scalar -- every exact,
+Grassmann or jet element, and the `ring.zero` placeholders that
+truncation and empty product slots leave in a batch series -- is tested
+with `scalars.is_zero`; a numpy path batch is never reduced and always
+counts as present.  Adding an absent coefficient returns the other
+operand itself, not a copy, and accumulators start from their first
+term, not from `ring.zero`.  Likewise `series_mul` does not multiply by
+a factor that is the ring's own `one` object.
+
+Ownership rule: a kernel adds or scales in place (`+=`, `*=`) only into
+a value it made itself in the same call -- a product or a scaled copy --
+never into an input coefficient, a coefficient it returned earlier, or a
+ring constant.  On a numpy path batch that saves the temporary of
+`acc + x`; `Cyclo8`, Grassmann and jet scalars have no in-place
+operators, so `+=` rebinds them and they stay immutable.  A returned
+series may share coefficient objects with its inputs, so nothing may
+write into a coefficient it did not make.  Path batches are complex
+arrays, so an in-place sum never has to widen a real array.
+
+Recurrences: exp(a) and 1/rho are built coefficient by coefficient
+(Brent & Kung, JACM 1978) instead of as power sums:
+
+    n E_n = sum_{k=1..n} k a_k E_{n-k},  E_0 = 1         (E = exp(a))
+    w_n = -sum_{k=1..n} t_k w_{n-k},     w_0 = 1         (w = 1/(1 + t))
+
+The exp recurrence is E' = a'E coefficientwise, which needs the
+coefficients of a to commute with each other.  The exact, complex, path
+batch and jet rings are commutative; Grassmann coefficients commute when
+they are even.  Signs are folded into scalar multipliers, because numpy
+complex negation costs several multiplies.
 """
 
 from __future__ import annotations
@@ -53,6 +77,16 @@ def _add(x, y):
     if _absent(y):
         return x
     return y if _absent(x) else x + y
+
+
+def _add_into(acc, x):
+    """acc + x, written into acc: the caller made acc in this call."""
+    if _absent(x):
+        return acc
+    if _absent(acc):
+        return x
+    acc += x
+    return acc
 
 
 class TailSeries:
@@ -96,10 +130,9 @@ class TailSeries:
                           self.ring)
 
     def add_scaled(self, other, s):
-        """self + other * s in one pass over the coefficients."""
+        """self + other * s, adding self into the fresh products."""
         _check(self, other)
-        return TailSeries([x if _absent(y) else y * s if _absent(x)
-                           else x + y * s
+        return TailSeries([x if _absent(y) else _add_into(y * s, x)
                            for x, y in zip(self.coeffs, other.coeffs)],
                           self.ring)
 
@@ -144,10 +177,9 @@ class ExpSeries:
 
     def __mul__(self, other):
         if isinstance(other, ExpSeries):
-            return ExpSeries(self.tail + other.tail
-                             + series_mul(self.tail, other.tail))
+            return ExpSeries(self * other.tail + self.tail)
         if isinstance(other, TailSeries):
-            return other + series_mul(self.tail, other)
+            return series_mul(self.tail, other, plus=other)
         raise TypeError(f"cannot multiply ExpSeries by {type(other)}")
 
     def coeff(self, power):
@@ -187,20 +219,6 @@ class AutSeries:
                              self.ring)
         raise TypeError("AutSeries absorbs tail perturbations only")
 
-    def shift(self, s):
-        """rho + s: shift the constant term (Loewner driving increments)."""
-        out = list(self.coeffs)
-        out[0] = out[0] + s
-        return AutSeries(out, self.ring)
-
-    def below_leading(self) -> TailSeries:
-        """(rho(z) - z) * z^{-1} as a tail series: a0 z^-1 + a_{-1} z^-2 + ...
-
-        The a_{-N} coefficient would sit at z^{-N-1} and is dropped; this
-        is the standard geometric-series gateway for 1/rho.
-        """
-        return TailSeries(self.coeffs[:-1], self.ring)
-
     def __repr__(self):
         terms = ["z"]
         for j, c in enumerate(self.coeffs):
@@ -209,53 +227,87 @@ class AutSeries:
         return " + ".join(terms)
 
 
-def series_mul(a: TailSeries, b: TailSeries) -> TailSeries:
-    """Cauchy product, powers below zeta^{-N} discarded."""
+def series_mul(a: TailSeries, b: TailSeries, plus=None) -> TailSeries:
+    """Cauchy product a * b (+ plus), powers below zeta^{-N} discarded.
+
+    A factor that is the ring's own `one` object, as the leading
+    coefficients of 1/rho and of e^a u are, is not multiplied out: the
+    slot takes the other factor itself and is added into only after a
+    sum has been made there.
+    """
     _check(a, b)
     n = a.order
+    one = a.ring.one
     out = [None] * n
+    made = [False] * n      # out[k] was made in this call
     bs = [None if _absent(cb) else cb for cb in b.coeffs]
     for i, ca in enumerate(a.coeffs[:-1]):
         if _absent(ca):
             continue
         # zeta^{-(i+1)} * zeta^{-(j+1)} = zeta^{-(i+j+2)}
         for j, cb in enumerate(bs[:n - i - 1]):
-            if cb is not None:
-                acc = out[i + j + 1]
-                out[i + j + 1] = ca * cb if acc is None else acc + ca * cb
+            if cb is None:
+                continue
+            k = i + j + 1
+            p = cb if ca is one else ca if cb is one else ca * cb
+            if out[k] is None:
+                out[k], made[k] = p, ca is not one and cb is not one
+            elif made[k]:
+                out[k] += p
+            else:
+                out[k], made[k] = out[k] + p, True
+    if plus is not None:
+        _check(a, plus)
+        out = [x if c is None else _add_into(c, x) if m else _add(c, x)
+               for c, m, x in zip(out, made, plus.coeffs)]
     zero = a.ring.zero
     return TailSeries([zero if c is None else c for c in out], a.ring)
 
 
-def tail_shift_down(a: TailSeries) -> TailSeries:
-    """Multiply by zeta^{-1}, dropping the coefficient pushed past -N."""
-    return TailSeries([a.ring.zero] + a.coeffs[:-1], a.ring)
-
-
 def series_inv_aut(rho: AutSeries) -> TailSeries:
-    """1/rho(zeta) = zeta^{-1} sum_m (-(rho - z) z^{-1})^m, truncated."""
+    """1/rho(zeta) = zeta^{-1} w with w = 1/(1 + t), truncated.
+
+    t = (rho - z) z^{-1} has t_k = rho.coeffs[k-1]; w_0 = 1 and
+    w_n = -sum_{k=1..n} t_k w_{n-k}, so w_n needs t_1 .. t_n only and
+    the zeta^{-N} coefficient w_{N-1} never reads a_{-N}.
+    """
     ring = rho.ring
-    neg_t = -rho.below_leading()
-    acc = power = neg_t              # sum_{m>=1} (-t)^m
-    for _ in range(rho.order - 1):
-        power = series_mul(power, neg_t)
-        acc = acc + power
-    shifted = tail_shift_down(acc)   # zeta^{-1} * (1 + acc)
-    coeffs = list(shifted.coeffs)
-    coeffs[0] = coeffs[0] + ring.one
-    return TailSeries(coeffs, ring)
+    minus = ring.from_int(-1)
+    nt = [c if _absent(c) else c * minus       # -t_k
+          for c in rho.coeffs[:rho.order - 1]]
+    w = [ring.one]
+    for n in range(1, rho.order):
+        acc = ring.zero
+        for k in range(1, n):
+            if not (_absent(nt[k - 1]) or _absent(w[n - k])):
+                acc = _add_into(acc, nt[k - 1] * w[n - k])
+        w.append(_add_into(acc, nt[n - 1]))    # the k = n term, w_0 = 1
+    return TailSeries(w, ring)
 
 
 def series_exp(a: TailSeries) -> ExpSeries:
-    """exp(a) = 1 + sum_{m=1..N} a^m / m!, exact at the truncation order."""
-    acc = term = a
-    for m in range(2, a.order + 1):
-        term = series_mul(term, a)
-        if all(map(_absent, term.coeffs)):
-            break
-        term = term.scale(a.ring.one / m)    # a^m / m!
-        acc = acc + term
-    return ExpSeries(acc)
+    """exp(a) = 1 + sum_n E_n zeta^{-n}, exact at the truncation order.
+
+    E_n = a_n + (1/n) sum_{k<n} k a_k E_{n-k}; k a_k is formed only when
+    a product needs it, so a lone term a_j zeta^{-j} with 2j > N costs no
+    product at all.  The coefficients of a must commute (module doc).
+    """
+    ring = a.ring
+    e = []                          # e[m-1] = E_m
+    ka = {}                         # k a_k, formed on first use
+    for n, an in enumerate(a.coeffs, start=1):
+        acc = ring.zero
+        for k in range(1, n):
+            ak, em = a.coeffs[k - 1], e[n - k - 1]
+            if _absent(ak) or _absent(em):
+                continue
+            if k not in ka:
+                ka[k] = ak if k == 1 else ak * ring.from_int(k)
+            acc = _add_into(acc, ka[k] * em)
+        if not _absent(acc):
+            acc *= ring.one / n     # acc is a sum of products made here
+        e.append(_add_into(acc, an))
+    return ExpSeries(TailSeries(e, ring))
 
 
 def series_derive(a: TailSeries) -> TailSeries:
@@ -277,7 +329,7 @@ def substitute(a: TailSeries, rho: AutSeries) -> TailSeries:
         upow = u if upow is None else series_mul(upow, u)
         c = a.coeffs[j - 1]
         if not _absent(c):
-            out = out + upow.scale(c)
+            out = out.add_scaled(upow, c)
     return out
 
 

@@ -11,7 +11,7 @@ from superloewner.evolution import (DRIVERS, PROCESS_NAMES, FlowState,
                                     sugawara)
 from superloewner.scalars import COMPLEX, EXACT, rational, to_complex
 from superloewner.series import (AutSeries, TailSeries, series_equal,
-                                 substitute)
+                                 series_exp, series_inv_aut, substitute)
 
 R = EXACT
 N = 4
@@ -340,3 +340,27 @@ def test_batch_step_matches_exact_step(variant):
                 g = complex(np.broadcast_to(g, (len(states),))[path])
                 assert abs(g - w) <= 1e-12 * max(1.0, abs(w)), \
                     (name, j, path, g, w)
+
+
+def test_batch_kernels_leave_their_inputs_untouched():
+    # the kernels add in place only into arrays they made, so no input
+    # coefficient or increment of a batch step may change by a bit
+    rng = np.random.default_rng(31)
+
+    def arr():
+        return rng.standard_normal(3) + 1j * rng.standard_normal(3)
+
+    s = FlowState(rho=AutSeries([arr() for _ in range(N + 1)], COMPLEX),
+                  **{n: TailSeries([arr() for _ in range(N)], COMPLEX)
+                     for n in PROCESS_NAMES}, t=0.0)
+    incs = {d: rng.standard_normal(3) * 0.03 for d in DRIVERS}
+    inputs = [c for n in ("rho",) + PROCESS_NAMES
+              for c in getattr(s, n).coeffs] + list(incs.values())
+    before = [c.tobytes() for c in inputs]
+    for variant in ("derived", "displayed"):
+        flow_step(s, 1e-3, incs, 0.8, ring=COMPLEX, variant=variant)
+    series_inv_aut(s.rho)
+    e = series_exp(s.xH)
+    e * s.xF
+    e * series_exp(s.xF)
+    assert [c.tobytes() for c in inputs] == before

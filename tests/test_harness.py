@@ -1,12 +1,15 @@
 import argparse
 import dataclasses
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import superloewner
 from superloewner import cli, harness
 from superloewner.harness import (BlockDrivers, ConfigError,
                                   MartingaleCell, MartingaleReport, RunConfig,
@@ -336,8 +339,12 @@ def test_trajectory_csv_schema(tmp_path):
 
 
 def _run_cli(*args):
+    # the child imports the package these tests import, installed or not
+    src = str(Path(superloewner.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.run([sys.executable, "-m", "superloewner.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
 
 
 def test_cli_exit_codes(tmp_path, capsys):
@@ -387,7 +394,7 @@ def test_cli_exit_codes(tmp_path, capsys):
         cli.main(["null-scan", "--lam", "1/0"])
     assert exc.value.code == 2 and "--lam" in capsys.readouterr().err
     # the critical level k = -3/2 is a config error in every subcommand;
-    # trace reads k from a config file only
+    # trace takes k from a config file only, and refuses it there
     bad.write_text("k = -3/2\n")
     for args in (("simulate", "--k", "-1.5"),
                  ("martingale-test", "--k", "-1.5"),
@@ -478,3 +485,44 @@ def test_cli_simulate_determinism(tmp_path):
                      "--seed", "42", "--out", str(out))
         assert r.returncode == 0, r.stderr
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_format_applies_on_stdout(capsys):
+    sim = ["simulate", "--paths", "5", "--t-max", "0.002", "--seed", "3"]
+    assert cli.main(sim) == 0
+    csv_out = capsys.readouterr().out
+    assert cli.main([*sim, "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert csv_out.splitlines()[0] == ",".join(payload["columns"])
+    assert len(payload["rows"]) == len(csv_out.splitlines()) - 1
+    # csv is the default on stdout as in a file, for trace as well
+    tr = ["trace", "--t-max", "0.002", "--seed", "3"]
+    assert cli.main([*tr, "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert cli.main(tr) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "t,tip.re,tip.im,swallowed"
+    assert len(lines) == 1 + len(payload["times"])
+
+
+def test_config_keys_the_command_does_not_read_are_refused(tmp_path, capsys):
+    cfg = tmp_path / "r.cfg"
+    for command, text, keys in (("trace", "paths = 7\nvariant = displayed\n",
+                                 "['paths', 'variant']"),
+                                ("martingale-test", "format = json\n",
+                                 "['format']"),
+                                ("simulate", "word_depth = 1\n",
+                                 "['word_depth']")):
+        cfg.write_text(text)
+        assert cli.main(["--config", str(cfg), command]) == 2, command
+        err = capsys.readouterr().err
+        assert f"config error: config keys {keys} are not read by " \
+               f"{command}" in err
+    # each command's config-only keys are read
+    cfg.write_text("trace_nx = 5\ntrace_ny = 4\nt_max = 0.002\n")
+    assert cli.main(["--config", str(cfg), "trace", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["trace_nx"] == 5
+    cfg.write_text("depth = 3\nword_depth = 1\npaths = 100\n"
+                   "t_max = 0.002\n")
+    assert cli.main(["--config", str(cfg), "martingale-test"]) in (0, 1)
+    assert "dropped paths" in capsys.readouterr().out

@@ -213,3 +213,47 @@ def test_exact_rings_keep_their_zero_skips(monkeypatch):
     e = series_exp(TailSeries.monomial(-3, rational(5), 4, R))
     assert not calls
     assert e.coeff(-3) == rational(5) and e.tail.coeff(-4) == R.zero
+
+
+def _rand_cyclo(rng):
+    return Cyclo8(*(Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+                    for _ in range(4)))
+
+
+def _rand_coeffs(n, rng, dense):
+    cs = [R.zero] * n
+    for idx in (range(n) if dense else rng.sample(range(n), rng.randint(1, 2))):
+        cs[idx] = _rand_cyclo(rng)
+    return cs
+
+
+def _exp_power_sum(a):
+    """1 + sum_{m=1..N} a^m / m!, the defining series."""
+    acc = term = a
+    fact = 1
+    for m in range(2, a.order + 1):
+        term = series_mul(term, a)
+        fact *= m
+        acc = acc + term.scale(ONE / fact)
+    return acc
+
+
+def _inv_power_sum(rho):
+    """zeta^{-1} sum_{m=0..N-1} (-t)^m with t = (rho - z) / z."""
+    neg_t = TailSeries([-c for c in rho.coeffs[:-1]], R)
+    acc = power = neg_t
+    for _ in range(rho.order - 2):
+        power = series_mul(power, neg_t)
+        acc = acc + power
+    return [ONE] + acc.coeffs[:-1]
+
+
+@pytest.mark.parametrize("dense", [True, False])
+@pytest.mark.parametrize("order", [2, 3, 4, 5, 6])
+def test_recurrences_equal_their_power_sums(order, dense):
+    rng = random.Random(1000 * order + dense)
+    for _ in range(4):
+        a = TailSeries(_rand_coeffs(order, rng, dense), R)
+        assert series_exp(a).tail.coeffs == _exp_power_sum(a).coeffs
+        rho = AutSeries(_rand_coeffs(order + 1, rng, dense), R)
+        assert series_inv_aut(rho).coeffs == _inv_power_sum(rho)
