@@ -17,8 +17,8 @@ from fractions import Fraction
 
 from .grassmann import GrassRing, GrassmannScalar, berezin
 from .affine import Module, Vector, annihilator_apply, mode, sugawara, act_mode
-from .harness import (ConfigError, RunConfig, check_level, convert_field,
-                      csv_text, json_text, martingale_test,
+from .harness import (TRACE_FIELDS, ConfigError, RunConfig, check_level,
+                      convert_field, csv_text, json_text, martingale_test,
                       parse_config_file, parse_value, simulate, trace,
                       trajectory_columns, trajectory_rows, write_csv,
                       write_json)
@@ -41,7 +41,7 @@ def _levels(text: str) -> list:
     return ks
 
 
-# the RunConfig fields each run command reads; their flags are
+# the RunConfig fields each run command takes as flags; their flags are
 # converted by harness.convert_field, as config-file values are
 _SIM_FLAGS = ("k", "kappa", "tau", "order", "dt", "t_max", "paths", "seed",
               "out", "format", "checkpoints", "variant")
@@ -50,12 +50,12 @@ _RUN_FLAGS = {
     "martingale-test": tuple(f for f in _SIM_FLAGS if f != "format"),
     "trace": ("kappa", "dt", "t_max", "seed", "out", "format"),
 }
-# the RunConfig fields each run command reads from a config file only
-_CONFIG_ONLY = {
-    "simulate": (),
-    "martingale-test": ("depth", "word_depth"),
-    "trace": ("trace_xmax", "trace_ymax", "trace_nx", "trace_ny",
-              "trace_eps"),
+# the RunConfig fields each run command reads, from flags or a config file
+_READS = {
+    "simulate": _SIM_FLAGS,
+    "martingale-test": _RUN_FLAGS["martingale-test"] + ("depth",
+                                                        "word_depth"),
+    "trace": TRACE_FIELDS,
 }
 _HELP = {"checkpoints": "comma separated times, e.g. 0.1,0.25"}
 
@@ -107,8 +107,7 @@ def _merge_config(args) -> RunConfig:
         if text is not None:
             values[f] = convert_field(f, text, _flag(f))
     cfg = RunConfig(**values).validate()
-    unread = set(values) - {*_RUN_FLAGS[args.command],
-                            *_CONFIG_ONLY[args.command]}
+    unread = set(values) - set(_READS[args.command])
     if unread:
         raise ConfigError(f"config keys {sorted(unread)} are not read by "
                           f"{args.command}")

@@ -1,5 +1,8 @@
+import dataclasses
 import random
 from fractions import Fraction
+
+import pytest
 
 from superloewner.affine import expectation, mode
 from superloewner.evolution import FlowState, initial_state
@@ -98,6 +101,20 @@ def test_derived_variant_is_local_martingale_on_low_depth():
             assert not any(_depth(m) <= 2 for m in d.terms), (kq, kapq)
             for n in (1, 2):
                 assert expectation([mode("E", n)], d).is_zero(), (kq, n)
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="the derived drift is not zero at depth 3: with only the "
+           "zeta^-1 coefficient c = 1 of x12H set, it has H(-2)H(-1) = -1/5 "
+           "and H(-1)e(-1)f(-1) = 2/5, that is c H(-1) tau (-1/4 H(-2) "
+           "+ 1/2 e(-1)f(-1))|0>; it does not depend on kappa")
+def test_derived_drift_vanishes_at_depth_3():
+    k, kap, tau = rational(1), rational(2), rational("4/5")
+    s = dataclasses.replace(initial_state(3, R),
+                            x12H=TailSeries.monomial(-1, R.one, 3, R))
+    d = state_drift(s, k, kap, tau, R, 3)
+    assert not [m for m in d.terms if _depth(m) == 3]
 
 
 def test_wrong_tau_breaks_the_balance():

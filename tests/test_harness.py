@@ -262,6 +262,47 @@ def test_module_depth_does_not_move_the_cells(variant):
         assert (a.mean, a.se, a.passed) == (b.mean, b.se, b.passed)
 
 
+@pytest.mark.parametrize("variant,order,word_depth,flow_order",
+                         [("derived", 4, 2, 3), ("displayed", 4, 2, 3),
+                          ("derived", 2, 2, 2)])
+def test_flow_order_does_not_move_the_cells(variant, order, word_depth,
+                                            flow_order, monkeypatch):
+    cfg = small_cfg(variant=variant, order=order, word_depth=word_depth,
+                    checkpoints=(0.01, 0.02))
+    orders = []
+
+    def spy(c):
+        orders.append(c.order)
+        return simulate(c)
+
+    monkeypatch.setattr(harness, "simulate", spy)
+    report = martingale_test(cfg)
+    assert orders == [flow_order]
+    # the reference: the flow at the full order, read by hand
+    sim = simulate(cfg)
+    assembler = harness.BatchAssembler(
+        harness.MatrixModule(cfg.k, cfg.word_depth), cfg.order)
+    refs = harness.t0_observable_values(cfg)
+    want, by_checkpoint = [], []
+    dropped = np.zeros(cfg.paths, dtype=bool)
+    for cp in sim.checkpoints:
+        dropped |= ~cp.finite
+        by_checkpoint.append(int((~cp.finite).sum()))
+        obs = harness.batch_observables(cp.state, cfg, assembler)
+        for name, values in obs.items():
+            vals = values[cp.finite]
+            for comp in ("real", "imag"):
+                arr, ref = getattr(vals, comp), getattr(refs[name], comp)
+                mean = float(arr.mean())
+                se = float(arr.std(ddof=1) / np.sqrt(len(arr)))
+                passed = abs(mean - ref) <= (3.0 * se if se else 1e-12)
+                want.append((name, comp[:2], cp.t, mean, se, passed))
+    assert [(c.observable, c.component, c.t, c.mean, c.se, c.passed)
+            for c in report.cells] == want
+    assert report.dropped_paths == int(dropped.sum())
+    assert report.dropped_by_checkpoint == by_checkpoint
+
+
 def test_martingale_warns_under_sampled():
     with pytest.warns(UserWarning):
         martingale_test(small_cfg(paths=20, t_max=0.005,
@@ -503,6 +544,22 @@ def test_format_applies_on_stdout(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "t,tip.re,tip.im,swallowed"
     assert len(lines) == 1 + len(payload["times"])
+
+
+def test_trace_json_echoes_only_the_keys_trace_reads(tmp_path, capsys):
+    assert cli.main(["trace", "--t-max", "0.002", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    config = payload["config"]
+    assert set(config) == {"kappa", "dt", "t_max", "seed", "out", "format",
+                           "trace_xmax", "trace_ymax", "trace_nx",
+                           "trace_ny", "trace_eps"}
+    assert (config["t_max"], config["format"]) == (0.002, "json")
+    # the echo read back as a config file gives the same run
+    cfg = tmp_path / "echo.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in config.items()
+                           if v is not None))
+    assert cli.main(["--config", str(cfg), "trace"]) == 0
+    assert json.loads(capsys.readouterr().out) == payload
 
 
 def test_config_keys_the_command_does_not_read_are_refused(tmp_path, capsys):
