@@ -202,12 +202,20 @@ def cmd_null_scan(args) -> int:
     rng = random.Random(args.seed)
     k, lam = args.k, args.lam
     check_level(k)
+
+    def scan(*params):
+        try:
+            return null_conditions(*params)
+        except OverflowError:  # the JSON residuals are floats
+            raise ConfigError("k or lambda is too large: a residual "
+                              "coefficient overflows a float") from None
+
     records = []
     ok = True
     for i in range(args.samples):
         tau = Fraction(rng.randint(1, 12), rng.randint(1, 6))
         kappa = Fraction(4) - Fraction(3, 2) * tau
-        rep = null_conditions(k, lam, kappa, tau)
+        rep = scan(k, lam, kappa, tau)
         # the no-go: for tau > 0 and lam != 0 some residual must survive
         nogo = not rep.all_residuals_zero()
         ok &= nogo
@@ -215,8 +223,7 @@ def cmd_null_scan(args) -> int:
                         "kappa": str(kappa), "tau": str(tau),
                         "nonzero_residual": nogo,
                         "records": rep.to_json()})
-    vacuum = null_conditions(k, 0, Fraction(2),
-                             Fraction(2) / (k + Fraction(3, 2)))
+    vacuum = scan(k, 0, Fraction(2), Fraction(2) / (k + Fraction(3, 2)))
     # at lambda = 0 and tau = 2/(k+3/2) the condition-one residuals are
     # supported entirely on lowering zero modes, which the vacuum
     # relations F(0)|0> = f(0)|0> = 0 kill

@@ -41,8 +41,8 @@ global per-driver Brownian sign flip is law-preserving).
 The represented state [1 + L12 + L1 L2] e^{E x^E} e^{H x^H} e^{F x^F}
 Q(rho)|0> is written once, in `assemble`, over a back end that only
 applies weighted sums of modes: `assemble_state_vector` runs it on the
-exact dict engine of `affine`, and `matrixrep.BatchAssembler` on sparse
-matrices over a whole path batch.
+exact dict engine of `affine`, and `matrixrep.BatchAssembler` on
+per-operator entry tables over a whole path batch.
 """
 
 from __future__ import annotations

@@ -359,12 +359,17 @@ def _config_json(cfg: RunConfig) -> dict:
 
 
 def _provenance(seed: int) -> dict:
-    import scipy
+    """Versions behind a run; scipy is optional and reported when present."""
+    try:
+        import scipy
+    except ImportError:
+        scipy = None
 
     from . import __version__
     return {"superloewner": __version__,
             "python": platform.python_version(),
-            "numpy": np.__version__, "scipy": scipy.__version__,
+            "numpy": np.__version__,
+            "scipy": scipy.__version__ if scipy else None,
             "seed": seed}
 
 
@@ -406,19 +411,28 @@ def martingale_test(cfg: RunConfig) -> MartingaleReport:
     # padded back with ring.zero, which the series kernels skip; the cells
     # are the same as at full order.
     flow_order = max(cfg.order - 1, min(cfg.order, cfg.word_depth), 2)
-    started = clock()
-    sim = simulate(dataclasses.replace(cfg, order=flow_order))
-    report.timings["simulate_s"] = clock() - started
     # Assembling at word_depth instead of depth is exact.  Every assembly
     # factor (L_{-j}, X(-j), and each normal-ordered Sugawara term) is a
     # creation operator or acts with its annihilator first, so it never
     # lowers depth; the components of depth <= word_depth therefore do not
     # depend on where the module is truncated, and a word X(n) with
-    # n <= word_depth reads only those components.
+    # n <= word_depth reads only those components.  The operators and the
+    # word rows are cast to floats before the flow runs, so a level whose
+    # exact values overflow a float fails at once.
     started = clock()
     mm = MatrixModule(cfg.k, cfg.word_depth)
-    assembler = BatchAssembler(mm, cfg.order)
-    report.timings["operators_s"] = clock() - started
+    try:
+        assembler = BatchAssembler(mm, cfg.order)
+        for _, w in dual_words(cfg.word_depth):
+            mm.word_row(w)
+    except OverflowError:
+        raise ConfigError(f"k = {cfg.k} is too large: the module's exact "
+                          f"values at this level overflow a float") from None
+    operators_s = clock() - started
+    started = clock()
+    sim = simulate(dataclasses.replace(cfg, order=flow_order))
+    report.timings["simulate_s"] = clock() - started
+    report.timings["operators_s"] = operators_s
     report.timings["observables_s"] = []
     refs = t0_observable_values(cfg)
     dropped = np.zeros(cfg.paths, dtype=bool)

@@ -1,18 +1,20 @@
 """Vectorized module backend for Monte Carlo batches.
 
 The depth-truncated vacuum module is finite dimensional (24 states at
-depth bound 2, 228 at 4), so the per-path state assembly reduces to
-sparse matrix-vector work: enumerate the canonical PBW basis once, build
-the matrices of X(-j) and L_{-j} with the exact dict engine and cast
-them to complex.  `BatchAssembler` then runs the one assembly formula,
+depth bound 2, 228 at 4), and each assembly operator has 1 to 9 nonzero
+entries at depth 2.  `MatrixModule` enumerates the canonical PBW basis once
+and keeps, for each X(-j) and L_{-j}, an entry table: the operator's
+nonzero entries, computed with the exact dict engine, cast to complex and
+grouped by row.  `BatchAssembler` then runs the one assembly formula,
 `evolution.assemble`, on a (dim, paths) coefficient block; its `apply`
-back end is a sum of matrix products weighted by per-path coefficients.
-Dual-word functionals become precomputed rows.  No assembly operator
-lowers depth, so the Monte Carlo builds the module only as deep as its
-dual words read (`word_depth`): the components it reads are the same
-in any deeper module.
+back end adds, row by row, the block's entry columns times the per-path
+coefficients, and skips a piece whose coefficient is absent under the
+`series` skip rule.  Dual-word functionals become precomputed rows.  No
+assembly operator lowers depth, so the Monte Carlo builds the module only
+as deep as its dual words read (`word_depth`): the components it reads
+are the same in any deeper module.
 
-The matrices are built at an exact rational level k when k is given
+The tables are built at an exact rational level k when k is given
 exactly (int, str or Fraction) or is a float equal to a rational of
 denominator at most 1000, so the only float error in an observable is
 the final cast; any other k is built in complex floats.
@@ -21,14 +23,23 @@ the final cast; any other k is built in complex floats.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import evolution
 from .affine import Module, Vector, act_mode, act_word, mode, sugawara
 from .scalars import COMPLEX, EXACT, to_complex
+from .series import _absent
 from .superalgebra import SYMBOLS
+
+
+class EntryTable(NamedTuple):
+    """The nonzero entries of one operator on the basis: `rows` holds
+    (row, ((col, value), ...)) with each row's columns in increasing
+    order."""
+    rows: tuple
+    nnz: int
 
 
 def _basis_monomials(nrep: int) -> list:
@@ -62,7 +73,7 @@ def _exact_level(k):
 
 
 class MatrixModule:
-    """Sparse matrices of the mode and Virasoro operators at level k."""
+    """Entry tables of the mode and Virasoro operators at level k."""
 
     def __init__(self, k, nrep: int):
         self.nrep = nrep
@@ -75,43 +86,40 @@ class MatrixModule:
         self.basis = _basis_monomials(nrep)
         self.index = {m: i for i, m in enumerate(self.basis)}
         self.dim = len(self.basis)
-        self._mode_mats = {}
-        self._vir_mats = {}
+        self._tables = {}
+        self._rows = {}
 
     def _vector_of(self, mono) -> Vector:
         return Vector(self._module, {mono: self._module.ring.one})
 
-    def _matrix(self, apply_fn) -> sp.csr_matrix:
-        rows, cols, vals = [], [], []
-        for j, mono in enumerate(self.basis):
-            image = apply_fn(self._vector_of(mono))
-            for m2, c in image.terms.items():
-                rows.append(self.index[m2])
-                cols.append(j)
-                vals.append(to_complex(c))
-        return sp.csr_matrix((vals, (rows, cols)), shape=(self.dim, self.dim),
-                             dtype=complex)
-
-    def mode_matrix(self, symbol: str, n: int) -> sp.csr_matrix:
+    def table(self, symbol: str, n: int) -> EntryTable:
+        """Entry table of X(n), or of L_n when symbol is VIRASORO."""
         key = (symbol, n)
-        if key not in self._mode_mats:
-            self._mode_mats[key] = self._matrix(
-                lambda v: act_mode(mode(symbol, n), v, project=True))
-        return self._mode_mats[key]
-
-    def virasoro_matrix(self, n: int) -> sp.csr_matrix:
-        if n not in self._vir_mats:
-            self._vir_mats[n] = self._matrix(
-                lambda v: sugawara(n, v, project=True))
-        return self._vir_mats[n]
+        if key not in self._tables:
+            rows = {}
+            for j, mono in enumerate(self.basis):
+                v = self._vector_of(mono)
+                image = (sugawara(n, v, project=True)
+                         if symbol == evolution.VIRASORO
+                         else act_mode(mode(symbol, n), v, project=True))
+                for m2, c in image.terms.items():
+                    rows.setdefault(self.index[m2], []).append(
+                        (j, to_complex(c)))
+            self._tables[key] = EntryTable(
+                tuple((i, tuple(rows[i])) for i in sorted(rows)),
+                sum(map(len, rows.values())))
+        return self._tables[key]
 
     def word_row(self, word) -> np.ndarray:
         """Row vector of the functional <0| word . |0> on the basis."""
-        row = np.zeros(self.dim, dtype=complex)
-        for j, mono in enumerate(self.basis):
-            v = act_word(word, self._vector_of(mono), project=True)
-            row[j] = to_complex(v.floor_coeff())
-        return row
+        if word not in self._rows:
+            row = np.zeros(self.dim, dtype=complex)
+            for j, mono in enumerate(self.basis):
+                v = act_word(word, self._vector_of(mono), project=True)
+                row[j] = to_complex(v.floor_coeff())
+            row.flags.writeable = False  # shared by every caller
+            self._rows[word] = row
+        return self._rows[word]
 
     def floor_block(self, paths: int) -> np.ndarray:
         block = np.zeros((self.dim, paths), dtype=complex)
@@ -130,16 +138,26 @@ class BatchAssembler:
     def __init__(self, mm: MatrixModule, order: int):
         self.mm = mm
         self.order = min(order, mm.nrep)
-        self.vir = [mm.virasoro_matrix(-j) for j in range(1, self.order + 1)]
-        self.modes = {s: [mm.mode_matrix(s, -j)
-                          for j in range(1, self.order + 1)]
-                      for s in SYMBOLS}
+        js = range(1, self.order + 1)
+        self.vir = [mm.table(evolution.VIRASORO, -j) for j in js]
+        self.modes = {s: [mm.table(s, -j) for j in js] for s in SYMBOLS}
 
     def _apply(self, pieces, block: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(block)
+        # each row gets (sum of value * block[col]) * c, the rounding of
+        # a matrix product, with one (paths,) temporary per row
+        out = np.zeros(block.shape, dtype=complex)
         for (sym, j), c in pieces:
-            mats = self.vir if sym == evolution.VIRASORO else self.modes[sym]
-            out += (mats[j - 1] @ block) * c
+            if _absent(c):
+                continue
+            tables = self.vir if sym == evolution.VIRASORO \
+                else self.modes[sym]
+            for row, entries in tables[j - 1].rows:
+                (col, value), *rest = entries
+                acc = block[col] * value
+                for col, value in rest:
+                    acc += block[col] * value
+                acc *= c
+                out[row] += acc
         return out
 
     def assemble(self, state, paths: int) -> np.ndarray:

@@ -209,7 +209,12 @@ def test_martingale_report_telemetry():
     assert all(t > 0 for t in timings["observables_s"])
     prov = payload["provenance"]
     assert prov["seed"] == 5 and prov["superloewner"]
-    assert prov["python"] and prov["numpy"] and prov["scipy"]
+    assert prov["python"] and prov["numpy"]
+    try:
+        import scipy
+    except ImportError:  # optional: reported as None when absent
+        scipy = None
+    assert prov["scipy"] == (scipy.__version__ if scipy else None)
     json.dumps(payload)
     lines = rep.text().splitlines()
     assert lines[-2] == "dropped paths: 0"
@@ -379,13 +384,32 @@ def test_trajectory_csv_schema(tmp_path):
     assert len(text) == 1 + len(rows)
 
 
-def _run_cli(*args):
+def _run_python(*args):
     # the child imports the package these tests import, installed or not
     src = str(Path(superloewner.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    return subprocess.run([sys.executable, "-m", "superloewner.cli", *args],
-                          capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path))
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=path))
+
+
+def _run_cli(*args):
+    return _run_python("-m", "superloewner.cli", *args)
+
+
+def test_package_needs_no_scipy():
+    # importing scipy.sparse costs about 0.3 s in every process; the
+    # package loads none of scipy, and reports it only when installed
+    r = _run_python("-c", """if True:
+        import sys
+        import superloewner, superloewner.cli
+        loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        assert not loaded, loaded
+        sys.modules["scipy"] = None
+        from superloewner.harness import RunConfig, martingale_test
+        rep = martingale_test(RunConfig(dt=1e-3, t_max=0.002, paths=100))
+        assert rep.cells and rep.provenance["scipy"] is None, rep.provenance
+        """)
+    assert r.returncode == 0, r.stderr
 
 
 def test_cli_exit_codes(tmp_path, capsys):
@@ -446,6 +470,16 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert cli.main(list(args)) == 2, args
         err = capsys.readouterr().err
         assert "config error" in err and "critical level" in err, args
+    # a level whose exact values overflow a float names k, no traceback
+    for args in (("martingale-test", "--paths", "150", "--t-max", "0.002",
+                  "--k", "1e308"),
+                 ("martingale-test", "--paths", "150", "--t-max", "0.002",
+                  "--k=-1e308"),
+                 ("null-scan", "--samples", "1", "--k", "1e308")):
+        r = _run_cli(*args)
+        assert r.returncode == 2, (args, r.stderr)
+        assert "config error" in r.stderr and "k " in r.stderr, args
+        assert "Traceback" not in r.stderr, args
     # a scan with no samples confirms nothing
     for n in ("0", "-3"):
         assert cli.main(["null-scan", "--samples", n]) == 2, n

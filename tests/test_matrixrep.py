@@ -99,10 +99,11 @@ def test_float_word_values_do_not_depend_on_truncation_depth(mm):
 
 
 def test_mode_matrix_nilpotency(mm):
-    m = mm.mode_matrix("E", -1)
-    power = m.copy()
-    for _ in range(4):
-        power = power @ m
+    # E(-1)^5 applied to the identity block, one entry table pass each
+    ba = BatchAssembler(mm, 4)
+    power = np.eye(mm.dim, dtype=complex)
+    for _ in range(5):
+        power = ba._apply([(("E", 1), 1.0)], power)
     assert abs(power).sum() == 0.0
 
 
@@ -112,8 +113,8 @@ def test_float_level_module():
     assert mmf._module.ring is COMPLEX
     assert mmf.dim == 24
     row = mmf.word_row(((0, 1),))  # <0|E(1)
-    f_col = mmf.mode_matrix("F", -1)
-    vec = f_col @ mmf.floor_block(1)
+    vec = BatchAssembler(mmf, 2)._apply([(("F", 1), 1.0)],
+                                        mmf.floor_block(1))
     # <0|E(1)F(-1)|0> = k
     assert abs(row @ vec[:, 0] - k) < 1e-12
 
