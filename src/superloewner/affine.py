@@ -18,16 +18,18 @@ Mode reordering uses the affine super bracket
 
     [X(m), Y(n)] = [X,Y](m+n) + m (X|Y) delta_{m+n,0} K,    K = k,
 
-with the anticommutator convention on odd pairs.  Everything is generic
-over the coefficient ring (exact, complex, Grassmann-valued, Ito jets).
+with the anticommutator convention on odd pairs.  The Sugawara modes
+L_n and the annihilating operator Xi both sum the Casimir table
+`superalgebra.CASIMIR`.  Everything is generic over the coefficient ring
+(exact, complex, Grassmann-valued, Ito jets).
 """
 
 from __future__ import annotations
 
 from .grassmann import GrassmannScalar
 from .scalars import Cyclo8, EXACT, is_zero
-from .superalgebra import (CriticalLevelError, PARITY, SYMBOLS,
-                           bracket_symbols, form_symbols)
+from .superalgebra import (CASIMIR, CriticalLevelError, H_VEE, PARITY,
+                           SYMBOLS, bracket_symbols, form_symbols)
 
 _PAR = tuple(PARITY[s] for s in SYMBOLS)
 _SYM = {s: i for i, s in enumerate(SYMBOLS)}
@@ -71,7 +73,7 @@ class Module:
             raise ValueError("verma floor needs a weight")
         caches = vars(ring).setdefault("_act_caches", {})
         self._cache: dict = caches.setdefault((k, floor, weight), {})
-        self._two_k_plus_3_inv = None
+        self._prefactor = None
 
     # -- raw mode action on a single canonical monomial -----------------
     def _floor(self, sym: int, n: int) -> dict:
@@ -139,21 +141,22 @@ class Module:
 
     # -- derived constants ----------------------------------------------
     def sugawara_prefactor(self):
-        if self._two_k_plus_3_inv is None:
-            denom = self.k * self.ring.from_int(2) + self.ring.from_int(3)
-            self._two_k_plus_3_inv = _invert(denom, self.ring)
-        return self._two_k_plus_3_inv
+        """1/(2(k + h_vee)); the critical level k = -h_vee raises."""
+        if self._prefactor is None:
+            ring = self.ring
+            denom = self.k * ring.from_int(2) + ring.from_rational(2 * H_VEE)
+            if is_zero(denom):
+                raise CriticalLevelError(
+                    f"Sugawara undefined at k = {-H_VEE}")
+            self._prefactor = (
+                GrassmannScalar.body(ring.base.one / denom.comp[0])
+                if isinstance(denom, GrassmannScalar) else ring.one / denom)
+        return self._prefactor
 
 
 def _acc(d: dict, key, val):
     cur = d.get(key)
     d[key] = val if cur is None else cur + val
-
-
-def _invert(x, ring):
-    if isinstance(x, GrassmannScalar):
-        return GrassmannScalar.body(ring.base.one / x.comp[0])
-    return ring.one / x
 
 
 class Vector:
@@ -254,57 +257,51 @@ def normal_order_product(m1: tuple, m2: tuple, v: Vector,
     return w
 
 
-_SUGAWARA_TERMS = (
-    # (coeff numerator, denominator, left symbol, right symbol)
-    (1, 2, "H", "H"), (1, 1, "E", "F"), (1, 1, "F", "E"),
-    (1, 2, "f", "e"), (-1, 2, "e", "f"),
-)
-
-
 def sugawara(n: int, v: Vector, project: bool = False) -> Vector:
     """Virasoro mode L_n from the osp(1|2) Sugawara construction."""
     module = v.module
     ring = module.ring
-    if is_zero(module.k * ring.from_int(2) + ring.from_int(3)):
-        raise CriticalLevelError("Sugawara undefined at k = -3/2")
+    prefactor = module.sugawara_prefactor()
     span = module.nrep + abs(n) + 2
     acc = Vector(module, {})
     for j in range(-span, span + 1):
-        for num, den, sa, sb in _SUGAWARA_TERMS:
+        for num, den, sa, sb in CASIMIR:
             term = normal_order_product(mode(sa, n - j), mode(sb, j), v,
                                         project=project)
             if term.is_zero():
                 continue
             acc = acc + term.scale(ring.from_int(num) / den)
-    return acc.scale(module.sugawara_prefactor())
+    return acc.scale(prefactor)
 
 
-def annihilator_apply(kappa, tau, v: Vector, project: bool = False) -> Vector:
-    """Apply Xi(kappa, tau) to a vector with Grassmann coefficients.
+def annihilator_apply(kappa, tau, v: Vector, odd=None) -> Vector:
+    """Apply the annihilating operator Xi(kappa, tau) to v.
 
     Xi = -2 L_{-2} + (kappa/2) L_{-1}^2
-         + (tau/2) [ (1/2)H(-1)^2 + E(-1)F(-1) + F(-1)E(-1)
-                     + eta1 eta2 (1/2)(f(-1)e(-1) - e(-1)f(-1)) ]
+         + (tau/2) sum_a (-1)^{p_a} X_a(-1) X^a(-1),
 
-    kappa, tau are coefficients in the module's (Grassmann) ring.
+    the sum read off CASIMIR, with its odd terms multiplied by `odd`.
+    The default odd = eta1 eta2 is the Grassmann-valued operator whose
+    Berezin projection kills (1 + eta1 eta2)|0> at tau = 2/(k + h_vee);
+    the null-vector candidate of `nullscan` is Xi at odd = 1 on a
+    Verma floor.  kappa, tau and odd are coefficients in the module's
+    ring.
     """
     module = v.module
     ring = module.ring
-    two = ring.from_int(2)
-    out = sugawara(-2, v, project=project).scale(-two)
-    l1 = sugawara(-1, v, project=project)
-    out = out + sugawara(-1, l1, project=project).scale(kappa / 2)
-    even = (act_word((mode("H", -1), mode("H", -1)), v, project=project)
-            .scale(ring.one / 2)
-            + act_word((mode("E", -1), mode("F", -1)), v, project=project)
-            + act_word((mode("F", -1), mode("E", -1)), v, project=project))
-    odd = (act_word((mode("f", -1), mode("e", -1)), v, project=project)
-           - act_word((mode("e", -1), mode("f", -1)), v, project=project))
-    eta12 = getattr(ring, "eta12", None)
-    if eta12 is None:
-        raise TypeError("annihilator_apply needs a Grassmann coefficient ring")
-    out = out + even.scale(tau / 2) + odd.scale((tau / 2) * eta12 / 2)
-    return out
+    if odd is None:
+        odd = getattr(ring, "eta12", None)
+        if odd is None:
+            raise TypeError(
+                "annihilator_apply needs a Grassmann coefficient ring")
+    out = sugawara(-2, v).scale(-ring.from_int(2))
+    out = out + sugawara(-1, sugawara(-1, v)).scale(kappa / 2)
+    casimir = Vector(module, {})
+    for num, den, xa, xd in CASIMIR:
+        term = act_word((mode(xa, -1), mode(xd, -1)), v).scale(
+            ring.from_int(num) / den)
+        casimir = casimir + (term.scale(odd) if PARITY[xa] else term)
+    return out + casimir.scale(tau / 2)
 
 
 def expectation(word, v: Vector):
@@ -312,12 +309,12 @@ def expectation(word, v: Vector):
     return act_word(word, v).floor_coeff()
 
 
-def conformal_weight(lam, k, ring=EXACT):
-    """L_0 eigenvalue lambda(lambda+1)/(4(k+3/2)) of the weight-lambda vector."""
-    if not isinstance(lam, (Cyclo8,)) and ring is EXACT:
-        lam = ring.from_rational(lam)
-        k = ring.from_rational(k)
-    denom = (k + ring.from_rational("3/2")) * ring.from_int(4)
+def conformal_weight(lam, k):
+    """L_0 eigenvalue lambda(lambda+1)/(4(k + h_vee)) of the weight-lambda
+    vector, at exact lambda and k."""
+    if not isinstance(lam, Cyclo8):
+        lam, k = EXACT.from_rational(lam), EXACT.from_rational(k)
+    denom = (k + EXACT.from_rational(H_VEE)) * EXACT.from_int(4)
     if is_zero(denom):
-        raise CriticalLevelError("critical level k = -3/2")
-    return lam * (lam + ring.one) * _invert(denom, ring)
+        raise CriticalLevelError(f"critical level k = {-H_VEE}")
+    return lam * (lam + EXACT.one) / denom

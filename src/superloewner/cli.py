@@ -17,13 +17,14 @@ from fractions import Fraction
 
 from .grassmann import GrassRing, GrassmannScalar, berezin
 from .affine import Module, Vector, annihilator_apply, mode, sugawara, act_mode
-from .harness import (TRACE_FIELDS, ConfigError, RunConfig, check_level,
+from .harness import (READS, ConfigError, RunConfig, check_level,
                       convert_field, csv_text, json_text, martingale_test,
                       parse_config_file, parse_value, simulate, trace,
                       trajectory_columns, trajectory_rows, write_csv,
                       write_json)
 from .nullscan import null_conditions
 from .scalars import EXACT
+from .superalgebra import H_VEE, structure_constants
 
 
 def _frac(text: str) -> Fraction:
@@ -41,22 +42,13 @@ def _levels(text: str) -> list:
     return ks
 
 
-# the RunConfig fields each run command takes as flags; their flags are
-# converted by harness.convert_field, as config-file values are
-_SIM_FLAGS = ("k", "kappa", "tau", "order", "dt", "t_max", "paths", "seed",
-              "out", "format", "checkpoints", "variant")
-_RUN_FLAGS = {
-    "simulate": _SIM_FLAGS,
-    "martingale-test": tuple(f for f in _SIM_FLAGS if f != "format"),
-    "trace": ("kappa", "dt", "t_max", "seed", "out", "format"),
-}
-# the RunConfig fields each run command reads, from flags or a config file
-_READS = {
-    "simulate": _SIM_FLAGS,
-    "martingale-test": _RUN_FLAGS["martingale-test"] + ("depth",
-                                                        "word_depth"),
-    "trace": TRACE_FIELDS,
-}
+# the RunConfig fields each run command takes as flags: all it reads
+# (harness.READS) but the config-only ones; their flags are converted by
+# harness.convert_field, as config-file values are
+_CONFIG_ONLY = ("depth", "word_depth", "trace_xmax", "trace_ymax",
+                "trace_nx", "trace_ny", "trace_eps")
+_RUN_FLAGS = {command: tuple(f for f in fields if f not in _CONFIG_ONLY)
+              for command, fields in READS.items()}
 _HELP = {"checkpoints": "comma separated times, e.g. 0.1,0.25"}
 
 
@@ -107,7 +99,7 @@ def _merge_config(args) -> RunConfig:
         if text is not None:
             values[f] = convert_field(f, text, _flag(f))
     cfg = RunConfig(**values).validate()
-    unread = set(values) - set(_READS[args.command])
+    unread = set(values) - set(READS[args.command])
     if unread:
         raise ConfigError(f"config keys {sorted(unread)} are not read by "
                           f"{args.command}")
@@ -144,7 +136,7 @@ def cmd_verify_annihilator(args) -> int:
     for k in ks:
         for kap in kappas:
             kk = EXACT.from_rational(k)
-            tau = EXACT.from_int(2) * (kk + EXACT.from_rational("3/2")).inverse()
+            tau = structure_constants(kk).tau_default
             module = Module(G, GrassmannScalar.body(kk), 4)
             v0 = Vector.floor_vector(module)
             v = v0 + v0.scale(G.eta12)
@@ -156,7 +148,7 @@ def cmd_verify_annihilator(args) -> int:
             passed = not nonzero
             ok &= passed
             records.append({"check": "annihilator", "k": str(k),
-                            "kappa": str(kap), "tau": f"2/({k}+3/2)",
+                            "kappa": str(kap), "tau": f"2/({k}+{H_VEE})",
                             "residual_terms": nonzero, "pass": passed})
     _emit({"records": records, "pass": ok}, args.out)
     return 0 if ok else 1
@@ -170,11 +162,11 @@ def cmd_verify_virasoro(args) -> int:
         kk = EXACT.from_rational(k)
         module = Module(EXACT, kk, 4)
         vac = Vector.floor_vector(module)
-        expect = kk * (EXACT.from_int(2) * kk
-                       + EXACT.from_int(3)).inverse()
+        ck = structure_constants(kk).central_charge
+        # <0|L_2 L_{-2}|0> = c_k/2
+        expect = ck / 2
         got = sugawara(2, sugawara(-2, vac)).floor_coeff()
         passed = got == expect
-        ck = kk * (kk + EXACT.from_rational("3/2")).inverse()
         tests = [vac, act_mode(mode("H", -1), vac),
                  act_mode(mode("e", -1), vac)]
         for (m, n) in ((1, -1), (2, -2), (1, -2), (2, -1)):
@@ -214,7 +206,7 @@ def cmd_null_scan(args) -> int:
     ok = True
     for i in range(args.samples):
         tau = Fraction(rng.randint(1, 12), rng.randint(1, 6))
-        kappa = Fraction(4) - Fraction(3, 2) * tau
+        kappa = Fraction(4) - H_VEE * tau
         rep = scan(k, lam, kappa, tau)
         # the no-go: for tau > 0 and lam != 0 some residual must survive
         nogo = not rep.all_residuals_zero()
@@ -223,8 +215,8 @@ def cmd_null_scan(args) -> int:
                         "kappa": str(kappa), "tau": str(tau),
                         "nonzero_residual": nogo,
                         "records": rep.to_json()})
-    vacuum = scan(k, 0, Fraction(2), Fraction(2) / (k + Fraction(3, 2)))
-    # at lambda = 0 and tau = 2/(k+3/2) the condition-one residuals are
+    vacuum = scan(k, 0, Fraction(2), Fraction(2) / (k + H_VEE))
+    # at lambda = 0 and tau = 2/(k + h_vee) the condition-one residuals are
     # supported entirely on lowering zero modes, which the vacuum
     # relations F(0)|0> = f(0)|0> = 0 kill
     cond1_vacuum = all(
@@ -240,7 +232,7 @@ def cmd_null_scan(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _merge_config(args)
-    rows = trajectory_rows(simulate(cfg), path=0)
+    rows = trajectory_rows(simulate(cfg))
     cols = trajectory_columns(cfg.order)
     return _write_rows(cfg, cols, rows, {"columns": cols, "rows": rows},
                        "checkpoint")

@@ -86,7 +86,7 @@ def initial_state(order: int, ring) -> FlowState:
                      x12E=z, x12H=z, x12F=z, t=0.0)
 
 
-def sde_terms(state: FlowState, u: TailSeries, tau, ring,
+def sde_terms(state: FlowState, u: TailSeries, tau,
               variant: str = "derived") -> dict:
     """Drift and per-driver diffusion of every internal process.
 
@@ -94,9 +94,11 @@ def sde_terms(state: FlowState, u: TailSeries, tau, ring,
     with absent drivers omitted: each term is the TailSeries base times
     the ring scalar s.  Terms of one process that share a base share the
     object, so a step forms one scalar per distinct base and makes one
-    pass over its coefficients.  tau is a ring scalar; u is 1/rho_t, which
-    the caller also feeds to the Loewner step, so one step builds it once.
+    pass over its coefficients.  tau is a scalar of the state's ring; u is
+    1/rho_t, which the caller also feeds to the Loewner step, so one step
+    builds it once.
     """
+    ring = state.rho.ring
     a, b, c = state.xE, state.xH, state.xF
     u2 = series_mul(u, u)
     ep = series_exp(b)
@@ -191,12 +193,11 @@ def _stepped(series: TailSeries, term: dict, dt, incs: dict) -> TailSeries:
     return out
 
 
-def flow_step(state: FlowState, dt, incs: dict, tau, ring=None,
+def flow_step(state: FlowState, dt, incs: dict, tau,
               variant: str = "derived") -> FlowState:
     """Full simultaneous Euler step; incs maps driver name to increment."""
-    ring = ring or state.rho.ring
     u = series_inv_aut(state.rho)
-    terms = sde_terms(state, u, tau, ring, variant=variant)
+    terms = sde_terms(state, u, tau, variant=variant)
     new = {n: _stepped(getattr(state, n), terms[n], dt, incs)
            for n in PROCESS_NAMES}
     rho = _loewner_euler(state.rho, u, dt, incs["B0"])

@@ -144,16 +144,17 @@ class JetRing:
         return ItoJet(value, drift, tuple(diffusions), self)
 
 
-def jet_state(state: FlowState, kappa, tau, ring, variant: str = "derived"):
+def jet_state(state: FlowState, kappa, tau, variant: str = "derived"):
     """Lift an exact FlowState to jet coordinates carrying its own SDE.
 
     Each series coefficient becomes val + mu*delta + sum sigma_d beta_d
     with mu, sigma read off `sde_terms` (internal processes) and the
     Loewner equation (rho).  Returns (jet_ring, FlowState over jets).
     """
+    ring = state.rho.ring
     spec = JetRing(ring, (kappa, tau, tau, tau, tau))
     u = series_inv_aut(state.rho)
-    terms = sde_terms(state, u, tau, ring, variant=variant)
+    terms = sde_terms(state, u, tau, variant=variant)
     n = state.order
     zb = ring.zero
 
@@ -195,7 +196,7 @@ def state_drift(state: FlowState, k, kappa, tau, ring, nrep: int,
     The returned Vector lives in a module over the base ring; each
     component is the delta part of the jet-assembled state.
     """
-    spec, jstate = jet_state(state, kappa, tau, ring, variant=variant)
+    spec, jstate = jet_state(state, kappa, tau, variant=variant)
     jmod = Module(spec, spec.constant(k), nrep)
     jvec = assemble_state_vector(jstate, jmod)
     base_mod = Module(ring, k, nrep)

@@ -41,6 +41,7 @@ from .matrixrep import BatchAssembler, MatrixModule
 from .observables import dual_words, observable_current
 from .scalars import COMPLEX
 from .series import AutSeries, TailSeries
+from .superalgebra import H_VEE
 
 
 class ConfigError(ValueError):
@@ -48,17 +49,17 @@ class ConfigError(ValueError):
 
 
 def check_level(k) -> None:
-    """Refuse the critical level k = -3/2, where Sugawara is undefined."""
-    if k == Fraction(-3, 2):
-        raise ConfigError("k = -3/2 is the critical level, where the "
-                          "Sugawara construction is undefined")
+    """Refuse the critical level k = -h_vee, where Sugawara is undefined."""
+    if k == -H_VEE:
+        raise ConfigError(f"k = {-H_VEE} is the critical level, where the "
+                          f"Sugawara construction is undefined")
 
 
 @dataclass
 class RunConfig:
     k: float = 1.0
     kappa: float = 2.0
-    tau: float | None = None      # default 2/(k + 3/2)
+    tau: float | None = None      # default 2/(k + h_vee)
     # series truncation N; martingale-test evolves the flow at
     # max(N-1, min(N, word_depth), 2) and reads the cells at N
     order: int = 4
@@ -83,7 +84,7 @@ class RunConfig:
 
     def resolved_tau(self) -> float:
         if self.tau is None:
-            return 2.0 / (self.k + 1.5)
+            return 2.0 / (self.k + float(H_VEE))
         return self.tau
 
     def validate(self) -> "RunConfig":
@@ -132,6 +133,21 @@ class RunConfig:
         if self.checkpoints:
             return sorted(set(float(t) for t in self.checkpoints))
         return [self.t_max]
+
+
+# the RunConfig fields each run command reads, from flags or a config
+# file (out and format where it writes them); the martingale report and
+# the trace JSON echo these, and the CLI refuses any other key
+_SIMULATE_READS = ("k", "kappa", "tau", "order", "dt", "t_max", "paths",
+                   "seed", "out", "format", "checkpoints", "variant")
+READS = {
+    "simulate": _SIMULATE_READS,
+    "martingale-test": tuple(f for f in _SIMULATE_READS if f != "format")
+    + ("depth", "word_depth"),
+    "trace": ("kappa", "dt", "t_max", "seed", "out", "format",
+              "trace_xmax", "trace_ymax", "trace_nx", "trace_ny",
+              "trace_eps"),
+}
 
 
 def parse_value(key: str, text: str, convert):
@@ -248,8 +264,7 @@ def simulate(cfg: RunConfig, increments=None) -> SimResult:
     inc_iter = iter(increments) if increments is not None else None
     for step in range(1, nsteps + 1):
         incs = next(inc_iter) if inc_iter is not None else drivers.step()
-        state = flow_step(state, cfg.dt, incs, tau, ring=COMPLEX,
-                          variant=cfg.variant)
+        state = flow_step(state, cfg.dt, incs, tau, variant=cfg.variant)
         if step in cp_steps:
             result.checkpoints.append(
                 Checkpoint(step * cfg.dt, state, _finite_mask(state)))
@@ -352,7 +367,7 @@ class MartingaleReport:
 
 
 def _config_json(cfg: RunConfig) -> dict:
-    d = dataclasses.asdict(cfg)
+    d = {f: getattr(cfg, f) for f in READS["martingale-test"]}
     d["checkpoints"] = list(cfg.resolved_checkpoints())
     d["tau"] = cfg.resolved_tau()
     return d
@@ -485,13 +500,6 @@ def martingale_seed_suite(cfg: RunConfig, seeds) -> dict:
 
 # -- pointwise trace -------------------------------------------------------
 
-# the RunConfig fields a trace run reads (out and format where it is
-# written); its JSON echoes these, and the CLI refuses any other key
-TRACE_FIELDS = ("kappa", "dt", "t_max", "seed", "out", "format",
-                "trace_xmax", "trace_ymax", "trace_nx", "trace_ny",
-                "trace_eps")
-
-
 @dataclass
 class TraceResult:
     config: RunConfig
@@ -501,7 +509,7 @@ class TraceResult:
 
     def to_json(self) -> dict:
         return {"config": {f: getattr(self.config, f)
-                           for f in TRACE_FIELDS},
+                           for f in READS["trace"]},
                 "times": self.times,
                 "tips": [[z.real, z.imag] for z in self.tips],
                 "swallowed": self.swallowed}
@@ -560,13 +568,14 @@ def trajectory_columns(order: int) -> list:
     return cols
 
 
-def trajectory_rows(result: SimResult, path: int = 0) -> list:
+def trajectory_rows(result: SimResult) -> list:
+    """One row per checkpoint: t, then the coefficients of path 0."""
     rows = []
     for cp in result.checkpoints:
         row = [cp.t]
         for name in ("rho",) + PROCESS_NAMES:
             for c in getattr(cp.state, name).coeffs:
-                z = complex(np.asarray(c).ravel()[path]) \
+                z = complex(np.asarray(c).ravel()[0]) \
                     if np.ndim(c) else complex(c)
                 row += [z.real, z.imag]
         rows.append(row)

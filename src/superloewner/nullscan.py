@@ -11,12 +11,15 @@ families:
 
     one:  ((tau k - tau h - 2) X(-1) + kappa X(0) L_{-1}
            + tau sum_a (-1)^{p_a} [X, X_a](0) X^a(-1)) |v> = 0
-    two:  (kappa + tau h - 4) X(0) |v> = 0,        h = 3/2.
+    two:  (kappa + tau h - 4) X(0) |v> = 0,        h = h_vee = 3/2.
 
-Both routes are implemented: `null_conditions` evaluates the two
-families from the structure tables, and `direct_residuals` reduces
-X(1) psi, X(2) psi from first principles (they agree; the test suite
-asserts it).  The layer is Verma-level: E(0), e(0) kill the highest
+The candidate psi is `affine.annihilator_apply`, the operator Xi of the
+annihilator check, with its odd Casimir terms at weight 1 instead of
+eta1 eta2; condition one sums the same `superalgebra.CASIMIR` table and
+h is `superalgebra.H_VEE`.  Both routes are implemented:
+`null_conditions` evaluates the two families from the structure
+tables, and `direct_residuals` reduces X(1) psi, X(2) psi from first
+principles (they agree; the test suite asserts it).  The layer is Verma-level: E(0), e(0) kill the highest
 weight vector, H(0) acts by lambda, and F(0), f(0) are free symbols, so
 residuals are exact linear combinations of monomials like E(-1)|v> or
 H(-1)F(0)|v>.
@@ -25,17 +28,16 @@ H(-1)F(0)|v>.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
-from .affine import Module, Vector, act_mode, act_word, mode, monomial_name, sugawara
+from .affine import (Module, Vector, act_mode, annihilator_apply, mode,
+                     monomial_name, sugawara)
 from .scalars import EXACT, to_complex
-from .superalgebra import PARITY, SYMBOLS, bracket_symbols
-
-# dual basis of (E,H,F,e,f): (F, H/2, E, f/2, -e/2) as (symbol, num, den)
-_DUAL = (("F", 1, 1), ("H", 1, 2), ("E", 1, 1), ("f", 1, 2), ("e", -1, 2))
+from .superalgebra import CASIMIR, H_VEE, SYMBOLS, bracket_symbols
 
 
-def _verma(ring, k, lam, nrep=3) -> Module:
-    return Module(ring, k, nrep, floor="verma", weight=lam)
+def _verma(ring, k, lam) -> Module:
+    return Module(ring, k, 3, floor="verma", weight=lam)
 
 
 def condition_one(x: str, k, lam, kappa, tau, ring=EXACT) -> Vector:
@@ -43,16 +45,13 @@ def condition_one(x: str, k, lam, kappa, tau, ring=EXACT) -> Vector:
     k, lam, kappa, tau = (_scal(ring, v) for v in (k, lam, kappa, tau))
     module = _verma(ring, k, lam)
     v = Vector.floor_vector(module)
-    h_vee = ring.from_rational("3/2")
+    h_vee = ring.from_rational(H_VEE)
     res = act_mode(mode(x, -1), v).scale(tau * k - tau * h_vee
                                          - ring.from_int(2))
     res = res + act_mode(mode(x, 0), sugawara(-1, v)).scale(kappa)
-    for a, sym_a in enumerate(SYMBOLS):
-        dual_sym, num, den = _DUAL[a]
-        sgn = -1 if PARITY[sym_a] else 1
-        base = act_mode(mode(dual_sym, -1), v).scale(
-            ring.from_int(sgn * num) / den)
-        for s2, c in bracket_symbols(x, sym_a).items():
+    for num, den, xa, xd in CASIMIR:
+        base = act_mode(mode(xd, -1), v).scale(ring.from_int(num) / den)
+        for s2, c in bracket_symbols(x, xa).items():
             res = res + act_mode(mode(s2, 0), base).scale(
                 tau * ring.from_int(c))
     return res
@@ -63,27 +62,15 @@ def condition_two(x: str, k, lam, kappa, tau, ring=EXACT) -> Vector:
     k, lam, kappa, tau = (_scal(ring, v) for v in (k, lam, kappa, tau))
     module = _verma(ring, k, lam)
     v = Vector.floor_vector(module)
-    coeff = kappa + tau * ring.from_rational("3/2") - ring.from_int(4)
+    coeff = kappa + tau * ring.from_rational(H_VEE) - ring.from_int(4)
     return act_mode(mode(x, 0), v).scale(coeff)
 
 
 def candidate_psi(k, lam, kappa, tau, ring=EXACT) -> Vector:
-    """The degree-2 null-vector candidate.
-
-    Its -2 L_{-2} leading term matches the degree-2 annihilating operator.
-    """
+    """The degree-2 null-vector candidate Xi(kappa, tau)|v_lambda>."""
     k, lam, kappa, tau = (_scal(ring, v) for v in (k, lam, kappa, tau))
-    module = _verma(ring, k, lam, nrep=3)
-    v = Vector.floor_vector(module)
-    psi = sugawara(-2, v).scale(ring.from_int(-2))
-    psi = psi + sugawara(-1, sugawara(-1, v)).scale(kappa / 2)
-    for a, sym_a in enumerate(SYMBOLS):
-        dual_sym, num, den = _DUAL[a]
-        sgn = -1 if PARITY[sym_a] else 1
-        term = act_word((mode(sym_a, -1), mode(dual_sym, -1)), v).scale(
-            ring.from_int(sgn * num) / den)
-        psi = psi + term.scale(tau / 2)
-    return psi
+    v = Vector.floor_vector(_verma(ring, k, lam))
+    return annihilator_apply(kappa, tau, v, odd=ring.one)
 
 
 def direct_residuals(x: str, k, lam, kappa, tau, ring=EXACT) -> tuple:
@@ -124,7 +111,7 @@ def _terms_json(vec: Vector) -> dict:
 
 
 def _scal(ring, v):
-    if isinstance(v, (int, str)) or type(v).__name__ == "Fraction":
+    if isinstance(v, (int, str, Fraction)):
         return ring.from_rational(v)
     return v
 

@@ -43,8 +43,9 @@ def observable_current(state: FlowState, k, ring) -> TailSeries:
     d2f = series_derive(state.x2f)
     two = ring.from_int(2)
 
-    o_e = (em2 * dF).scale(-k)
-    o_h = (dH + series_mul(state.xE, em2 * dF)).scale(-two * k)
+    em2_dF = em2 * dF
+    o_e = em2_dF.scale(-k)
+    o_h = (dH + series_mul(state.xE, em2_dF)).scale(-two * k)
 
     out = o_e
     out = out - series_mul(state.x12H, o_e).scale(two)

@@ -14,17 +14,24 @@ norm (alpha|alpha) = 2 normalization.  These two tables pass all 35
 super-Jacobi triples and all invariance identities exactly; the test
 suite checks every one.
 
-Derived constants: dual Coxeter number 3/2, superdimension 1, Sugawara
-central charge c_k = k/(k + 3/2), default internal variance
-tau = 2/(k + 3/2).
+Two further facts are stated here once, and every other module reads
+them: the dual Coxeter number `H_VEE` = 3/2, and the quadratic Casimir
+sum_a (-1)^{p_a} X_a X^a as the table `CASIMIR`.  The Sugawara modes,
+the annihilating operator Xi, the null-vector conditions and
+`standard_dual_basis` all sum over that table; the test suite pins it
+against the dual basis the form gives and pins H_VEE through the
+adjoint Casimir eigenvalue 2 h_vee.  Derived at level k: superdimension
+1, Sugawara central charge c_k = k/(k + h_vee), default internal
+variance tau = 2/(k + h_vee).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
-from .scalars import EXACT, Ring, is_zero
+from .scalars import EXACT, is_zero
 
 SYMBOLS = ("E", "H", "F", "e", "f")
 PARITY = {"E": 0, "H": 0, "F": 0, "e": 1, "f": 1}
@@ -44,6 +51,16 @@ _BRACKET = {
 
 # nonzero pairings (x|y) for index(x) <= index(y), integer valued
 _FORM = {("E", "F"): 1, ("H", "H"): 2, ("e", "f"): 2}
+
+# dual Coxeter number in the (alpha|alpha) = 2 normalization of _FORM
+H_VEE = Fraction(3, 2)
+
+# the Casimir sum_a (-1)^{p_a} X_a X^a with X^a dual to X_a under the
+# form, as (numerator, denominator, X_a, symbol of X^a): the sign and
+# the scale of X^a sit in numerator / denominator.  The order is the
+# Sugawara summation order.
+CASIMIR = ((1, 2, "H", "H"), (1, 1, "E", "F"), (1, 1, "F", "E"),
+           (1, 2, "f", "e"), (-1, 2, "e", "f"))
 
 
 def bracket_symbols(x: str, y: str) -> dict:
@@ -77,48 +94,40 @@ class CriticalLevelError(ValueError):
 
 
 class AlgebraElement:
-    """Linear combination of the five basis symbols over a scalar ring."""
+    """Linear combination of the five basis symbols over the exact ring."""
 
-    __slots__ = ("coeffs", "ring")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: dict, ring: Ring = EXACT):
-        self.ring = ring
+    def __init__(self, coeffs: dict):
         self.coeffs = {s: c for s, c in coeffs.items() if not is_zero(c)}
 
     @staticmethod
-    def basis(symbol: str, ring: Ring = EXACT) -> "AlgebraElement":
-        return AlgebraElement({symbol: ring.one}, ring)
+    def basis(symbol: str) -> "AlgebraElement":
+        return AlgebraElement({symbol: EXACT.one})
 
     @staticmethod
-    def zero(ring: Ring = EXACT) -> "AlgebraElement":
-        return AlgebraElement({}, ring)
+    def zero() -> "AlgebraElement":
+        return AlgebraElement({})
 
     def __add__(self, other):
         out = dict(self.coeffs)
         for s, c in other.coeffs.items():
-            out[s] = out.get(s, self.ring.zero) + c
-        return AlgebraElement(out, self.ring)
+            out[s] = out.get(s, EXACT.zero) + c
+        return AlgebraElement(out)
 
     def __sub__(self, other):
-        out = dict(self.coeffs)
-        for s, c in other.coeffs.items():
-            out[s] = out.get(s, self.ring.zero) - c
-        return AlgebraElement(out, self.ring)
+        return self + (-other)
 
     def __neg__(self):
-        return AlgebraElement({s: -c for s, c in self.coeffs.items()}, self.ring)
+        return AlgebraElement({s: -c for s, c in self.coeffs.items()})
 
     def scale(self, scalar) -> "AlgebraElement":
-        return AlgebraElement({s: c * scalar for s, c in self.coeffs.items()},
-                              self.ring)
+        return AlgebraElement({s: c * scalar for s, c in self.coeffs.items()})
 
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        keys = set(self.coeffs) | set(other.coeffs)
-        z = self.ring.zero
-        return all(is_zero(self.coeffs.get(k, z) - other.coeffs.get(k, z))
-                   for k in keys)
+        return (self - other).is_zero()
 
     def __hash__(self):
         return hash(frozenset(self.coeffs))
@@ -141,34 +150,32 @@ class AlgebraElement:
 
 def bracket(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """Super bracket, extended bilinearly from the table."""
-    ring = x.ring
     out: dict = {}
     for sx, cx in x.coeffs.items():
         for sy, cy in y.coeffs.items():
             for s, n in bracket_symbols(sx, sy).items():
-                out[s] = out.get(s, ring.zero) + cx * cy * ring.from_int(n)
-    return AlgebraElement(out, ring)
+                out[s] = out.get(s, EXACT.zero) + cx * cy * EXACT.from_int(n)
+    return AlgebraElement(out)
 
 
 def form(x: AlgebraElement, y: AlgebraElement):
     """Invariant even supersymmetric bilinear form."""
-    ring = x.ring
-    acc = ring.zero
+    acc = EXACT.zero
     for sx, cx in x.coeffs.items():
         for sy, cy in y.coeffs.items():
             n = form_symbols(sx, sy)
             if n:
-                acc = acc + cx * cy * ring.from_int(n)
+                acc = acc + cx * cy * EXACT.from_int(n)
     return acc
 
 
 def dual_basis(basis: Sequence[AlgebraElement]) -> list:
     """Elements {X^a} of span(basis) with form(X_a, X^b) = delta_ab."""
-    ring = basis[0].ring
+    one, zero = EXACT.one, EXACT.zero
     n = len(basis)
     gram = [[form(basis[a], basis[b]) for b in range(n)] for a in range(n)]
     # solve gram @ M^T = I by Gaussian elimination over the scalar field
-    aug = [row[:] + [ring.one if j == i else ring.zero for j in range(n)]
+    aug = [row[:] + [one if j == i else zero for j in range(n)]
            for i, row in enumerate(gram)]
     for col in range(n):
         piv = next((r for r in range(col, n) if not is_zero(aug[r][col])),
@@ -176,7 +183,7 @@ def dual_basis(basis: Sequence[AlgebraElement]) -> list:
         if piv is None:
             raise DegeneratePairingError("form is degenerate on the span")
         aug[col], aug[piv] = aug[piv], aug[col]
-        inv = ring.one / aug[col][col]
+        inv = one / aug[col][col]
         aug[col] = [v * inv for v in aug[col]]
         for r in range(n):
             if r != col and not is_zero(aug[r][col]):
@@ -186,48 +193,46 @@ def dual_basis(basis: Sequence[AlgebraElement]) -> list:
     # the transpose matters on the antisymmetric odd block
     duals = []
     for b in range(n):
-        acc = AlgebraElement.zero(ring)
+        acc = AlgebraElement.zero()
         for a in range(n):
             acc = acc + basis[a].scale(aug[a][n + b])
         duals.append(acc)
     return duals
 
 
-def standard_basis(ring: Ring = EXACT) -> list:
-    return [AlgebraElement.basis(s, ring) for s in SYMBOLS]
+def standard_basis() -> list:
+    return [AlgebraElement.basis(s) for s in SYMBOLS]
 
 
-def standard_dual_basis(ring: Ring = EXACT) -> list:
-    """Duals of (E, H, F, e, f): (F, H/2, E, f/2, -e/2)."""
-    E, H, F, e, f = standard_basis(ring)
-    half = ring.one / ring.from_int(2)
-    return [F, H.scale(half), E, f.scale(half), e.scale(-half)]
+def standard_dual_basis() -> list:
+    """Duals of (E, H, F, e, f) read off CASIMIR: (F, H/2, E, f/2, -e/2)."""
+    dual = {xa: AlgebraElement.basis(xd).scale(EXACT.from_rational(
+                Fraction((-1) ** PARITY[xa] * num, den)))
+            for num, den, xa, xd in CASIMIR}
+    return [dual[s] for s in SYMBOLS]
 
 
-def orthonormal_even_basis(ring: Ring = EXACT) -> list:
+def orthonormal_even_basis() -> list:
     """J1 = H/sqrt2, J2 = (E+F)/sqrt2, J3 = i(E-F)/sqrt2."""
-    E, H, F, _, _ = standard_basis(ring)
-    inv_sqrt2 = ring.one / ring.sqrt2
+    E, H, F, _, _ = standard_basis()
+    inv_sqrt2 = EXACT.one / EXACT.sqrt2
     return [H.scale(inv_sqrt2), (E + F).scale(inv_sqrt2),
-            (E - F).scale(ring.i * inv_sqrt2)]
+            (E - F).scale(EXACT.i * inv_sqrt2)]
 
 
-def casimir_adjoint_eigenvalue(symbol: str, ring: Ring = EXACT):
-    """Eigenvalue of sum_a (-1)^{p_a} ad(X_a) ad(X^a) on a basis symbol.
+def casimir_adjoint_eigenvalue(symbol: str):
+    """Eigenvalue of the CASIMIR table in the adjoint action on a symbol.
 
     Equals 2 h_vee = 3 on every symbol; used as the oracle pinning the
     dual Coxeter number from the tables alone.
     """
-    basis = standard_basis(ring)
-    duals = standard_dual_basis(ring)
-    v = AlgebraElement.basis(symbol, ring)
-    acc = AlgebraElement.zero(ring)
-    for Xa, Xd in zip(basis, duals):
-        term = bracket(Xa, bracket(Xd, v))
-        if PARITY[next(iter(Xa.coeffs))]:
-            term = -term
-        acc = acc + term
-    coeff = acc.coeffs.get(symbol, ring.zero)
+    v = AlgebraElement.basis(symbol)
+    acc = AlgebraElement.zero()
+    for num, den, xa, xd in CASIMIR:
+        acc = acc + bracket(AlgebraElement.basis(xa), bracket(
+            AlgebraElement.basis(xd), v)).scale(
+                EXACT.from_rational(Fraction(num, den)))
+    coeff = acc.coeffs.get(symbol, EXACT.zero)
     rest = acc - v.scale(coeff)
     if not rest.is_zero():
         raise ValueError("adjoint Casimir is not diagonal on this symbol")
@@ -236,29 +241,22 @@ def casimir_adjoint_eigenvalue(symbol: str, ring: Ring = EXACT):
 
 @dataclass(frozen=True)
 class StructureData:
-    """Table bundle plus the level-dependent derived constants."""
+    """The level-dependent derived constants."""
 
     dual_coxeter: object
     superdim: int
-    level: object
     central_charge: object
     tau_default: object
-    brackets: dict
-    form_table: dict
 
 
-def structure_constants(k, ring: Ring = EXACT) -> StructureData:
-    """Derived constants at level k; k may be exact or float-backed."""
-    if not hasattr(k, "is_zero") and ring is EXACT:
-        k = ring.from_rational(k)
-    h_vee = ring.from_rational("3/2")
+def structure_constants(k) -> StructureData:
+    """Derived constants at an exact level k (a rational or a Cyclo8)."""
+    if not hasattr(k, "is_zero"):
+        k = EXACT.from_rational(k)
+    h_vee = EXACT.from_rational(H_VEE)
     denom = k + h_vee
     if is_zero(denom):
-        raise CriticalLevelError("critical level k = -3/2")
-    c_k = k / denom
-    tau = ring.from_int(2) / denom
-    return StructureData(
-        dual_coxeter=h_vee, superdim=1, level=k,
-        central_charge=c_k, tau_default=tau,
-        brackets=dict(_BRACKET), form_table=dict(_FORM),
-    )
+        raise CriticalLevelError(f"critical level k = {-H_VEE}")
+    return StructureData(dual_coxeter=h_vee, superdim=1,
+                         central_charge=k / denom,
+                         tau_default=EXACT.from_int(2) / denom)

@@ -218,6 +218,34 @@ def test_annihilator_grassmann_sector():
         assert c.comp[1].is_zero() and c.comp[2].is_zero()
 
 
+@pytest.mark.parametrize("kq", ["1/2", "1", "3", "-5/3"])
+@pytest.mark.parametrize("kapq", ["2", "8/3"])
+def test_annihilator_and_null_candidate_are_one_operator(kq, kapq):
+    # the Berezin projection of Xi (1 + eta1 eta2)|0> is Xi|0> with the
+    # odd Casimir terms at weight 1, the operator nullscan.candidate_psi
+    # applies: zero at tau = 2/(k + h_vee), four equal terms at tau = 1/3
+    from superloewner.grassmann import GrassmannScalar
+    k, kap = rational(kq), rational(kapq)
+    mod, G = _grass_module(kq)
+    plain = module(kq)
+    v0 = vac(mod)
+    for tau, nterms in ((rational(2) / (k + rational("3/2")), 0),
+                        (rational("1/3"), 4)):
+        out = annihilator_apply(GrassmannScalar.body(kap),
+                                GrassmannScalar.body(tau),
+                                v0 + v0.scale(G.eta12))
+        projected = Vector(plain, {m: berezin(c)
+                                   for m, c in out.terms.items()})
+        direct = annihilator_apply(kap, tau, vac(plain), odd=R.one)
+        assert projected == direct
+        assert len(direct.terms) == nterms
+
+
+def test_annihilator_needs_grassmann_ring_without_odd():
+    with pytest.raises(TypeError, match="Grassmann"):
+        annihilator_apply(R.one, R.one, vac(module("1")))
+
+
 def test_odd_driver_square_identity():
     # (eta1 A + eta2 B)^2 = eta1 eta2 (AB - BA) for odd operators A, B;
     # the eta of the outer factor multiplies from the left

@@ -265,7 +265,7 @@ def test_zero_noise_xh_drift_matches_closed_form():
         s = initial_state(4, COMPLEX)
         zero = {"B0": 0.0, "B1": 0.0, "B2": 0.0, "B3": 0.0, "Ba": 0.0}
         for _ in range(nsteps):
-            s = flow_step(s, dt, zero, tau, ring=COMPLEX)
+            s = flow_step(s, dt, zero, tau)
         return s
 
     coarse = run(4e-6)
@@ -331,7 +331,7 @@ def test_batch_step_matches_exact_step(variant):
         b = flow_step(b, to_complex(dt).real,
                       {d: np.array([to_complex(inc[d]).real for inc in step])
                        for d in DRIVERS},
-                      to_complex(tau).real, ring=COMPLEX, variant=variant)
+                      to_complex(tau).real, variant=variant)
     for name in names():
         got = getattr(b, name).coeffs
         for path, s in enumerate(states):
@@ -358,7 +358,7 @@ def test_batch_kernels_leave_their_inputs_untouched():
               for c in getattr(s, n).coeffs] + list(incs.values())
     before = [c.tobytes() for c in inputs]
     for variant in ("derived", "displayed"):
-        flow_step(s, 1e-3, incs, 0.8, ring=COMPLEX, variant=variant)
+        flow_step(s, 1e-3, incs, 0.8, variant=variant)
     series_inv_aut(s.rho)
     e = series_exp(s.xH)
     e * s.xF

@@ -145,7 +145,7 @@ def test_current_observable_coefficients_have_zero_drift():
     kap = rational("8/3")
     tau = rational(2) / (k + rational("3/2"))
     s = _rand_state(4, rng)
-    spec, js = jet_state(s, kap, tau, R)
+    spec, js = jet_state(s, kap, tau)
     o = observable_current(js, spec.constant(k), spec)
     for n in range(1, 4):
         jet = o.coeff(-n - 1)

@@ -580,20 +580,40 @@ def test_format_applies_on_stdout(capsys):
     assert len(lines) == 1 + len(payload["times"])
 
 
-def test_trace_json_echoes_only_the_keys_trace_reads(tmp_path, capsys):
-    assert cli.main(["trace", "--t-max", "0.002", "--format", "json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
+@pytest.mark.parametrize("command", ["trace", "martingale-test"])
+def test_json_echoes_only_the_keys_the_command_reads(command, tmp_path,
+                                                     capsys):
+    out = tmp_path / "r.json"
+    flags = {"trace": ["--t-max", "0.002", "--format", "json"],
+             "martingale-test": ["--paths", "200", "--t-max", "0.002",
+                                 "--out", str(out)]}[command]
+
+    def run(*argv):
+        assert cli.main([*argv, command, *flags]) in (0, 1)
+        text = capsys.readouterr().out
+        return json.loads(out.read_text() if out.exists() else text)
+
+    payload = run()
     config = payload["config"]
-    assert set(config) == {"kappa", "dt", "t_max", "seed", "out", "format",
-                           "trace_xmax", "trace_ymax", "trace_nx",
-                           "trace_ny", "trace_eps"}
-    assert (config["t_max"], config["format"]) == (0.002, "json")
+    assert set(config) == set(harness.READS[command]) == {
+        "trace": {"kappa", "dt", "t_max", "seed", "out", "format",
+                  "trace_xmax", "trace_ymax", "trace_nx", "trace_ny",
+                  "trace_eps"},
+        "martingale-test": {"k", "kappa", "tau", "order", "depth", "dt",
+                            "t_max", "paths", "seed", "out", "checkpoints",
+                            "variant", "word_depth"}}[command]
+    assert config["t_max"] == 0.002
     # the echo read back as a config file gives the same run
     cfg = tmp_path / "echo.cfg"
-    cfg.write_text("".join(f"{k} = {v}\n" for k, v in config.items()
-                           if v is not None))
-    assert cli.main(["--config", str(cfg), "trace"]) == 0
-    assert json.loads(capsys.readouterr().out) == payload
+    cfg.write_text("".join(
+        f"{k} = {','.join(map(str, v)) if isinstance(v, list) else v}\n"
+        for k, v in config.items() if v is not None))
+    echoed = run("--config", str(cfg))
+    assert echoed["config"] == config
+    if command == "trace":
+        assert echoed == payload
+    else:
+        assert echoed["cells"] == payload["cells"]
 
 
 def test_config_keys_the_command_does_not_read_are_refused(tmp_path, capsys):

@@ -1,9 +1,11 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
 from superloewner.scalars import Cyclo8, EXACT, rational
-from superloewner.superalgebra import (AlgebraElement, CriticalLevelError,
+from superloewner.superalgebra import (CASIMIR, H_VEE, AlgebraElement,
+                                       CriticalLevelError,
                                        DegeneratePairingError, PARITY,
                                        SYMBOLS, bracket,
                                        casimir_adjoint_eigenvalue, dual_basis,
@@ -135,6 +137,20 @@ def test_orthonormal_even_basis():
 def test_casimir_pins_dual_coxeter():
     for s in SYMBOLS:
         assert casimir_adjoint_eigenvalue(s) == Cyclo8(3)
+
+
+def test_casimir_table_is_the_form_dual_basis():
+    # every consumer of the Casimir (Sugawara, Xi, condition one and
+    # standard_dual_basis) reads CASIMIR, so it is pinned against the
+    # dual basis the form gives: (-1)^{p_a} (num/den) X^b is the dual of
+    # X_a, once per basis symbol
+    duals = dict(zip(SYMBOLS, dual_basis(standard_basis())))
+    assert sorted(xa for _, _, xa, _ in CASIMIR) == sorted(SYMBOLS)
+    for num, den, xa, xb in CASIMIR:
+        coeff = rational(Fraction((-1) ** PARITY[xa] * num, den))
+        assert basis(xb).scale(coeff) == duals[xa], xa
+    for s in SYMBOLS:
+        assert casimir_adjoint_eigenvalue(s) == rational(2 * H_VEE), s
 
 
 def test_structure_constants():
