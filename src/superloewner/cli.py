@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .grassmann import GrassRing, GrassmannScalar, berezin
 from .affine import Module, Vector, annihilator_apply, mode, sugawara, act_mode
-from .harness import (READS, ConfigError, RunConfig, check_level,
+from .harness import (FLAGS, READS, ConfigError, RunConfig, check_level,
                       convert_field, csv_text, json_text, martingale_test,
                       parse_config_file, parse_value, simulate, trace,
                       trajectory_columns, trajectory_rows, write_csv,
@@ -42,13 +42,6 @@ def _levels(text: str) -> list:
     return ks
 
 
-# the RunConfig fields each run command takes as flags: all it reads
-# (harness.READS) but the config-only ones; their flags are converted by
-# harness.convert_field, as config-file values are
-_CONFIG_ONLY = ("depth", "word_depth", "trace_xmax", "trace_ymax",
-                "trace_nx", "trace_ny", "trace_eps")
-_RUN_FLAGS = {command: tuple(f for f in fields if f not in _CONFIG_ONLY)
-              for command, fields in READS.items()}
 _HELP = {"checkpoints": "comma separated times, e.g. 0.1,0.25"}
 
 
@@ -85,7 +78,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=7)
     sp.add_argument("--out")
 
-    for name, fields in _RUN_FLAGS.items():
+    # run-command flags are converted by harness.convert_field, as
+    # config-file values are
+    for name, fields in FLAGS.items():
         sp = add(name)
         for f in fields:
             sp.add_argument(_flag(f), dest=f, help=_HELP.get(f))
@@ -94,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _merge_config(args) -> RunConfig:
     values = parse_config_file(args.config) if args.config else {}
-    for f in _RUN_FLAGS[args.command]:
+    for f in FLAGS[args.command]:
         text = getattr(args, f)
         if text is not None:
             values[f] = convert_field(f, text, _flag(f))
@@ -269,8 +264,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.config and args.command not in _RUN_FLAGS:
-            raise ConfigError(f"--config applies to {', '.join(_RUN_FLAGS)}"
+        if args.config and args.command not in FLAGS:
+            raise ConfigError(f"--config applies to {', '.join(FLAGS)}"
                               f" only, not {args.command}")
         return _COMMANDS[args.command](args)
     except ConfigError as exc:

@@ -135,19 +135,25 @@ class RunConfig:
         return [self.t_max]
 
 
-# the RunConfig fields each run command reads, from flags or a config
-# file (out and format where it writes them); the martingale report and
-# the trace JSON echo these, and the CLI refuses any other key
-_SIMULATE_READS = ("k", "kappa", "tau", "order", "dt", "t_max", "paths",
+# the RunConfig fields each run command takes as flags (out and format
+# where it writes them), and those it reads from a config file only;
+# READS is both: the martingale report and the trace JSON echo it, and
+# the CLI refuses any other key
+_SIMULATE_FLAGS = ("k", "kappa", "tau", "order", "dt", "t_max", "paths",
                    "seed", "out", "format", "checkpoints", "variant")
-READS = {
-    "simulate": _SIMULATE_READS,
-    "martingale-test": tuple(f for f in _SIMULATE_READS if f != "format")
-    + ("depth", "word_depth"),
-    "trace": ("kappa", "dt", "t_max", "seed", "out", "format",
-              "trace_xmax", "trace_ymax", "trace_nx", "trace_ny",
+FLAGS = {
+    "simulate": _SIMULATE_FLAGS,
+    "martingale-test": tuple(f for f in _SIMULATE_FLAGS if f != "format"),
+    "trace": ("kappa", "dt", "t_max", "seed", "out", "format"),
+}
+_CONFIG_ONLY = {
+    "simulate": (),
+    "martingale-test": ("depth", "word_depth"),
+    "trace": ("trace_xmax", "trace_ymax", "trace_nx", "trace_ny",
               "trace_eps"),
 }
+READS = {command: flags + _CONFIG_ONLY[command]
+         for command, flags in FLAGS.items()}
 
 
 def parse_value(key: str, text: str, convert):

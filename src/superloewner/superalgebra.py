@@ -20,9 +20,9 @@ sum_a (-1)^{p_a} X_a X^a as the table `CASIMIR`.  The Sugawara modes,
 the annihilating operator Xi, the null-vector conditions and
 `standard_dual_basis` all sum over that table; the test suite pins it
 against the dual basis the form gives and pins H_VEE through the
-adjoint Casimir eigenvalue 2 h_vee.  Derived at level k: superdimension
-1, Sugawara central charge c_k = k/(k + h_vee), default internal
-variance tau = 2/(k + h_vee).
+adjoint Casimir eigenvalue 2 h_vee.  Derived at level k: Sugawara
+central charge c_k = k/(k + h_vee), default internal variance
+tau = 2/(k + h_vee).
 """
 
 from __future__ import annotations
@@ -243,8 +243,6 @@ def casimir_adjoint_eigenvalue(symbol: str):
 class StructureData:
     """The level-dependent derived constants."""
 
-    dual_coxeter: object
-    superdim: int
     central_charge: object
     tau_default: object
 
@@ -253,10 +251,8 @@ def structure_constants(k) -> StructureData:
     """Derived constants at an exact level k (a rational or a Cyclo8)."""
     if not hasattr(k, "is_zero"):
         k = EXACT.from_rational(k)
-    h_vee = EXACT.from_rational(H_VEE)
-    denom = k + h_vee
+    denom = k + EXACT.from_rational(H_VEE)
     if is_zero(denom):
         raise CriticalLevelError(f"critical level k = {-H_VEE}")
-    return StructureData(dual_coxeter=h_vee, superdim=1,
-                         central_charge=k / denom,
+    return StructureData(central_charge=k / denom,
                          tau_default=EXACT.from_int(2) / denom)

@@ -157,8 +157,6 @@ def test_structure_constants():
     sc = structure_constants(1)
     assert sc.central_charge == rational("2/5")
     assert sc.tau_default == rational("4/5")
-    assert sc.dual_coxeter == rational("3/2")
-    assert sc.superdim == 1
     assert structure_constants(0).central_charge == EXACT.zero
     assert structure_constants("1/2").tau_default == Cyclo8(1)
     with pytest.raises(CriticalLevelError):
