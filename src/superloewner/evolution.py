@@ -51,8 +51,8 @@ from dataclasses import dataclass, replace
 
 from .affine import Module, Vector, act_mode, mode, sugawara
 from .scalars import is_zero, to_complex
-from .series import (AutSeries, TailSeries, series_exp, series_inv_aut,
-                     series_mul)
+from .series import (AutSeries, SeriesOrderError, TailSeries, series_exp,
+                     series_inv_aut, series_mul)
 
 PROCESS_NAMES = ("xE", "xH", "xF", "x1e", "x1f", "x2e", "x2f",
                  "x12E", "x12H", "x12F")
@@ -99,7 +99,10 @@ def sde_terms(state: FlowState, u: TailSeries, tau,
     builds it once.
     """
     ring = state.rho.ring
-    a, b, c = state.xE, state.xH, state.xF
+    a, c = state.xE, state.xF
+    # the exponentials only multiply u or u^2, so their top coefficient
+    # is never read (series module doc): stop x^H one order below u
+    b = TailSeries(state.xH.coeffs[:u.order - 1], ring)
     u2 = series_mul(u, u)
     ep = series_exp(b)
     # -b as b * (-1): numpy complex negation costs several multiplies
@@ -195,11 +198,20 @@ def _stepped(series: TailSeries, term: dict, dt, incs: dict) -> TailSeries:
 
 def flow_step(state: FlowState, dt, incs: dict, tau,
               variant: str = "derived") -> FlowState:
-    """Full simultaneous Euler step; incs maps driver name to increment."""
+    """Full simultaneous Euler step; incs maps driver name to increment.
+
+    Processes may run at different series orders; an update shorter than
+    its process raises SeriesOrderError naming it.
+    """
     u = series_inv_aut(state.rho)
     terms = sde_terms(state, u, tau, variant=variant)
-    new = {n: _stepped(getattr(state, n), terms[n], dt, incs)
-           for n in PROCESS_NAMES}
+    new = {}
+    for name in PROCESS_NAMES:
+        old = getattr(state, name)
+        new[name] = _stepped(old, terms[name], dt, incs)
+        if new[name].order < old.order:     # a lost coefficient, not a 0
+            raise SeriesOrderError(f"{name}: its update has order "
+                                   f"{new[name].order}, below {old.order}")
     rho = _loewner_euler(state.rho, u, dt, incs["B0"])
     t_inc = dt if isinstance(dt, float) else to_complex(dt).real
     return replace(state, rho=rho, t=state.t + t_inc, **new)

@@ -17,11 +17,10 @@ The martingale test tracks two observable families per checkpoint:
 
 Each complex observable contributes two real cells (re, im); a cell
 passes when |mean(t) - value(0)| <= 3 SE.  The acceptance gate is the
-five-seed cell pass rate.  No cell reads a zeta^{-N} coefficient of the
-flow unless word_depth >= N, so the test evolves the flow one order
-lower and pads each checkpoint back with zeros; the cells equal those
-of a full-order flow, and the non-finite guard sees the evolved
-coefficients only.
+five-seed cell pass rate.  The test evolves each process only to the
+zeta-degree some cell reads (`_flow_orders`) and pads each checkpoint
+back to order N with zeros; the cells equal those of a full-order flow,
+and the non-finite guard sees the evolved coefficients only.
 """
 
 from __future__ import annotations
@@ -60,8 +59,8 @@ class RunConfig:
     k: float = 1.0
     kappa: float = 2.0
     tau: float | None = None      # default 2/(k + h_vee)
-    # series truncation N; martingale-test evolves the flow at
-    # max(N-1, min(N, word_depth), 2) and reads the cells at N
+    # series truncation N; martingale-test evolves each process at the
+    # order its cells read (`_flow_orders`) and reads the cells at N
     order: int = 4
     # module depth N_rep; it only bounds word_depth: martingale-test
     # assembles at word_depth, with the same cells as any deeper module
@@ -219,13 +218,13 @@ class BlockDrivers:
         return dict(zip(("B0", "B1", "B2", "B3", "Ba"), raw))
 
 
-def _batch_initial_state(order: int, paths: int) -> FlowState:
-    def tail():
-        return TailSeries([np.zeros(paths, dtype=complex)
-                           for _ in range(order)], COMPLEX)
-    rho = AutSeries([np.zeros(paths, dtype=complex)
-                     for _ in range(order + 1)], COMPLEX)
-    return FlowState(rho=rho, **{n: tail() for n in PROCESS_NAMES}, t=0.0)
+def _batch_initial_state(orders: dict, paths: int) -> FlowState:
+    """The vacuum on a path batch, "rho" and each process at orders[name]."""
+    def zeros(n):
+        return [np.zeros(paths, dtype=complex) for _ in range(n)]
+    return FlowState(rho=AutSeries(zeros(orders["rho"] + 1), COMPLEX),
+                     **{n: TailSeries(zeros(orders[n]), COMPLEX)
+                        for n in PROCESS_NAMES}, t=0.0)
 
 
 @dataclass
@@ -249,19 +248,21 @@ def _finite_mask(state: FlowState) -> np.ndarray:
     return ok
 
 
-def simulate(cfg: RunConfig, increments=None) -> SimResult:
+def simulate(cfg: RunConfig, increments=None, start=None) -> SimResult:
     """Evolve cfg.paths coupled processes; record the checkpoint states.
 
     `increments` optionally supplies a precomputed iterable of per-step
     driver dicts (used by the dt-halving coupling check); by default a
-    seeded BlockDrivers stream is used.
+    seeded BlockDrivers stream is used.  `start` is the batch state at
+    t = 0, by default the vacuum with every series at cfg.order.
     """
     cfg.validate()
     tau = cfg.resolved_tau()
     nsteps = int(round(cfg.t_max / cfg.dt))
     checkpoints = cfg.resolved_checkpoints()
     cp_steps = {int(round(t / cfg.dt)) for t in checkpoints if t > 0}
-    state = _batch_initial_state(cfg.order, cfg.paths)
+    state = start if start is not None else _batch_initial_state(
+        dict.fromkeys(("rho",) + PROCESS_NAMES, cfg.order), cfg.paths)
     result = SimResult(config=cfg)
     if 0.0 in checkpoints or cfg.t_max == 0:
         result.checkpoints.append(
@@ -328,6 +329,8 @@ class MartingaleReport:
     # as a list with one entry per checkpoint in config order
     timings: dict = field(default_factory=dict)
     provenance: dict = field(default_factory=dict)
+    # the series order each process ("rho" too) was evolved at
+    flow_orders: dict = field(default_factory=dict)
 
     def all_pass(self) -> bool:
         # a dropped path leaves a mean over the survivors only, which is
@@ -345,6 +348,7 @@ class MartingaleReport:
             "config": _config_json(self.config),
             "dropped_paths": self.dropped_paths,
             "dropped_by_checkpoint": self.dropped_by_checkpoint,
+            "flow_orders": self.flow_orders,
             "cells": [c.to_json() for c in self.cells],
             "summary": {"cells": len(self.cells),
                         "passed": sum(c.passed for c in self.cells),
@@ -400,11 +404,34 @@ _WARN_PATHS = 100
 def _padded(state: FlowState, order: int) -> FlowState:
     """state with ring.zero placeholders appended up to series order."""
     ring = state.rho.ring
-    pad = [ring.zero] * (order - state.order)
+    zeros = [ring.zero] * order     # each series is padded on its own
     return dataclasses.replace(
-        state, rho=AutSeries(state.rho.coeffs + pad, ring),
-        **{n: TailSeries(getattr(state, n).coeffs + pad, ring)
+        state, rho=AutSeries((state.rho.coeffs + zeros)[:order + 1], ring),
+        **{n: TailSeries((getattr(state, n).coeffs + zeros)[:order], ring)
            for n in PROCESS_NAMES})
+
+
+def _flow_orders(cfg: RunConfig) -> dict:
+    """The least series order of each process that keeps every cell exact.
+
+    The flow is triangular in zeta-degree: products, series_exp and the
+    Euler update never lower it, and the zeta^{-j} coefficient of 1/rho
+    reads a_0 .. a_{2-j} only, so a process run at order n has its first
+    n coefficients exactly; padding with ring.zero, which the series
+    kernels skip, gives the cells of a full-order flow.  Assembly reads
+    j <= m = min(N, word_depth), and aut_to_virasoro matches a_{-j} for
+    j < m.  The zeta^{-N} coefficient of observable_current
+    (current[E,n=N-1]) reads x^F and x^{12,F} to degree N-1, through a
+    derivative, and every other process to degree N-2.  Evolving x^F and
+    x^{12,F} to degree N-1 takes 1/rho and x^{2,f} there too: the bases
+    x^F u and 1/rho x^{2,f} stop at their shorter factor (the
+    common-prefix rule of `series`).  Order 2 is the least simulate
+    accepts.
+    """
+    n, m = cfg.order, min(cfg.order, cfg.word_depth)
+    top = ("rho", "xF", "x2f", "x12F")
+    return {p: max(m, n - 1 if p in top else n - 2, 2)
+            for p in ("rho",) + PROCESS_NAMES}
 
 
 def martingale_test(cfg: RunConfig) -> MartingaleReport:
@@ -420,18 +447,7 @@ def martingale_test(cfg: RunConfig) -> MartingaleReport:
         raise ConfigError("martingale checkpoints must lie in (0, t_max]")
     clock = time.perf_counter
     report = MartingaleReport(config=cfg, provenance=_provenance(cfg.seed))
-    # The flow is triangular in zeta-degree: products, series_exp and the
-    # Euler update never lower it, and the zeta^{-N} coefficient of 1/rho
-    # never reads a_{-N}, so no coefficient of degree below N reads a
-    # zeta^{-N} coefficient.  Nothing below reads those either: assembly
-    # takes j <= min(N, word_depth), aut_to_virasoro leaves a_{-N}
-    # unmatched, and the zeta^{-N} coefficient of observable_current reads
-    # degrees up to N-1 (the derivative shifts by one and every other
-    # factor starts at zeta^{-2}).  So the flow runs one order lower (not
-    # below 2, the least order simulate accepts) and each checkpoint is
-    # padded back with ring.zero, which the series kernels skip; the cells
-    # are the same as at full order.
-    flow_order = max(cfg.order - 1, min(cfg.order, cfg.word_depth), 2)
+    report.flow_orders = _flow_orders(cfg)
     # Assembling at word_depth instead of depth is exact.  Every assembly
     # factor (L_{-j}, X(-j), and each normal-ordered Sugawara term) is a
     # creation operator or acts with its annihilator first, so it never
@@ -451,7 +467,8 @@ def martingale_test(cfg: RunConfig) -> MartingaleReport:
                           f"values at this level overflow a float") from None
     operators_s = clock() - started
     started = clock()
-    sim = simulate(dataclasses.replace(cfg, order=flow_order))
+    sim = simulate(cfg, start=_batch_initial_state(report.flow_orders,
+                                                   cfg.paths))
     report.timings["simulate_s"] = clock() - started
     report.timings["operators_s"] = operators_s
     report.timings["observables_s"] = []

@@ -7,8 +7,17 @@ Two coefficient spaces appear throughout:
 * `AutSeries`: z + a_0 + a_{-1} z^{-1} + ... + a_{-N} z^{-N}, coordinate
   changes at infinity with unit leading coefficient.
 
-All arithmetic is mod zeta^{-N-1} at a fixed shared truncation order N;
-binary operations refuse mismatched orders rather than retruncate.
+Truncation orders may differ between operands, under two exact rules:
+
+* `+`, `-`, `add_scaled` and `series_mul` of tails of orders na and nb
+  return the common exact prefix, of order min(na, nb);
+* `ExpSeries * TailSeries` is exact to order min(n_E + 1, n_T): the
+  leading 1 of the exponential carries each tail coefficient, and the
+  zeta^{-k} coefficient of the product reads E_1 .. E_{k-1} only.
+
+Composition (`aut_compose`, `substitute`) and `AutSeries + TailSeries`
+still refuse mismatched orders.
+
 Coefficients only need ring operations (+, -, *, / by int), so the same
 code runs over exact scalars, complex floats, numpy arrays (one series
 per Monte Carlo path), Grassmann coefficients, and Ito jets.
@@ -113,11 +122,9 @@ class TailSeries:
         return TailSeries(c, ring)
 
     def __add__(self, other):
-        _check(self, other)
         return TailSeries(map(_add, self.coeffs, other.coeffs), self.ring)
 
     def __sub__(self, other):
-        _check(self, other)
         return TailSeries([x if _absent(y) else -y if _absent(x) else x - y
                            for x, y in zip(self.coeffs, other.coeffs)],
                           self.ring)
@@ -131,7 +138,6 @@ class TailSeries:
 
     def add_scaled(self, other, s):
         """self + other * s, adding self into the fresh products."""
-        _check(self, other)
         return TailSeries([x if _absent(y) else _add_into(y * s, x)
                            for x, y in zip(self.coeffs, other.coeffs)],
                           self.ring)
@@ -179,7 +185,10 @@ class ExpSeries:
         if isinstance(other, ExpSeries):
             return ExpSeries(self * other.tail + self.tail)
         if isinstance(other, TailSeries):
-            return series_mul(self.tail, other, plus=other)
+            # zeta^{-k} of the product reads E_1 .. E_{k-1}, so a zero
+            # E_{n_E + 1} slot makes it exact to order n_E + 1
+            pad = TailSeries(self.tail.coeffs + [self.ring.zero], self.ring)
+            return series_mul(pad, other, plus=other)
         raise TypeError(f"cannot multiply ExpSeries by {type(other)}")
 
     def coeff(self, power):
@@ -228,20 +237,21 @@ class AutSeries:
 
 
 def series_mul(a: TailSeries, b: TailSeries, plus=None) -> TailSeries:
-    """Cauchy product a * b (+ plus), powers below zeta^{-N} discarded.
+    """Cauchy product a * b (+ plus), powers below zeta^{-n} discarded.
+
+    n is the common order min(a.order, b.order), or plus.order if lower.
 
     A factor that is the ring's own `one` object, as the leading
     coefficients of 1/rho and of e^a u are, is not multiplied out: the
     slot takes the other factor itself and is added into only after a
     sum has been made there.
     """
-    _check(a, b)
-    n = a.order
+    n = min(a.order, b.order)
     one = a.ring.one
     out = [None] * n
     made = [False] * n      # out[k] was made in this call
-    bs = [None if _absent(cb) else cb for cb in b.coeffs]
-    for i, ca in enumerate(a.coeffs[:-1]):
+    bs = [None if _absent(cb) else cb for cb in b.coeffs[:n - 1]]
+    for i, ca in enumerate(a.coeffs[:n - 1]):
         if _absent(ca):
             continue
         # zeta^{-(i+1)} * zeta^{-(j+1)} = zeta^{-(i+j+2)}
@@ -257,7 +267,6 @@ def series_mul(a: TailSeries, b: TailSeries, plus=None) -> TailSeries:
             else:
                 out[k], made[k] = out[k] + p, True
     if plus is not None:
-        _check(a, plus)
         out = [x if c is None else _add_into(c, x) if m else _add(c, x)
                for c, m, x in zip(out, made, plus.coeffs)]
     zero = a.ring.zero

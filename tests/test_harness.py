@@ -11,12 +11,14 @@ import pytest
 
 import superloewner
 from superloewner import cli, harness
+from superloewner.evolution import flow_step
 from superloewner.harness import (BlockDrivers, ConfigError,
                                   MartingaleCell, MartingaleReport, RunConfig,
                                   martingale_seed_suite, martingale_test,
                                   parse_config_file, simulate, trace,
                                   trajectory_columns, trajectory_rows,
                                   write_csv)
+from superloewner.series import SeriesOrderError
 
 
 def small_cfg(**kw):
@@ -267,26 +269,42 @@ def test_module_depth_does_not_move_the_cells(variant):
         assert (a.mean, a.se, a.passed) == (b.mean, b.se, b.passed)
 
 
-@pytest.mark.parametrize("variant,order,word_depth,flow_order",
-                         [("derived", 4, 2, 3), ("displayed", 4, 2, 3),
-                          ("derived", 2, 2, 2)])
-def test_flow_order_does_not_move_the_cells(variant, order, word_depth,
-                                            flow_order, monkeypatch):
+# (order, word_depth, order of rho, xF, x2f and x12F, order of the other
+# seven processes); a test id ends in the first of the two orders
+_FLOW_GRID = [(2, 2, 2, 2), (3, 2, 2, 2), (4, 1, 3, 2), (4, 2, 3, 2),
+              (4, 3, 3, 3), (5, 2, 4, 3), (6, 2, 5, 4), (6, 4, 5, 4)]
+
+
+@pytest.mark.parametrize("variant,order,word_depth,top,rest", [
+    pytest.param(v, n, wd, top, rest, id=f"{v}-{n}-{wd}-{top}")
+    for v in ("derived", "displayed") for n, wd, top, rest in _FLOW_GRID])
+def test_flow_order_does_not_move_the_cells(variant, order, word_depth, top,
+                                            rest, monkeypatch):
     cfg = small_cfg(variant=variant, order=order, word_depth=word_depth,
                     checkpoints=(0.01, 0.02))
-    orders = []
+    names = ("rho",) + harness.PROCESS_NAMES
+    orders, assemblers = [], []
 
-    def spy(c):
-        orders.append(c.order)
-        return simulate(c)
+    def spy(c, start=None):
+        orders.append({n: getattr(start, n).order for n in names})
+        return simulate(c, start=start)
+
+    def keep(*args, build=harness.BatchAssembler):
+        # the reference reads through the same assembler, which depends
+        # on (k, word_depth, order) only; a depth-4 build takes ~1 s
+        assemblers.append(build(*args))
+        return assemblers[-1]
 
     monkeypatch.setattr(harness, "simulate", spy)
+    monkeypatch.setattr(harness, "BatchAssembler", keep)
     report = martingale_test(cfg)
-    assert orders == [flow_order]
+    want_orders = {n: top if n in ("rho", "xF", "x2f", "x12F") else rest
+                   for n in names}
+    assert orders == [want_orders]
+    assert report.to_json()["flow_orders"] == want_orders
     # the reference: the flow at the full order, read by hand
     sim = simulate(cfg)
-    assembler = harness.BatchAssembler(
-        harness.MatrixModule(cfg.k, cfg.word_depth), cfg.order)
+    [assembler] = assemblers
     refs = harness.t0_observable_values(cfg)
     want, by_checkpoint = [], []
     dropped = np.zeros(cfg.paths, dtype=bool)
@@ -306,6 +324,19 @@ def test_flow_order_does_not_move_the_cells(variant, order, word_depth,
             for c in report.cells] == want
     assert report.dropped_paths == int(dropped.sum())
     assert report.dropped_by_checkpoint == by_checkpoint
+
+
+@pytest.mark.parametrize("variant", ["derived", "displayed"])
+def test_flow_step_refuses_to_shorten_a_process(variant):
+    # x12F at order 3 steps along 1/rho x2f (derived) or x2f C
+    # (displayed); with x2f at order 2 that base has order 2, and a
+    # silent truncation would pad x12F's zeta^{-3} coefficient with 0
+    orders = harness._flow_orders(small_cfg()) | {"x2f": 2}
+    assert orders["x12F"] == 3
+    state = harness._batch_initial_state(orders, 3)
+    incs = BlockDrivers(1, 3, 1e-3, 2.0, 0.8).step()
+    with pytest.raises(SeriesOrderError, match="x12F"):
+        flow_step(state, 1e-3, incs, 0.8, variant=variant)
 
 
 def test_martingale_warns_under_sampled():

@@ -52,8 +52,9 @@ def test_mul_examples():
 
 
 def test_order_mismatch_raises():
-    with pytest.raises(SeriesOrderError):
-        series_mul(tail([1, 0]), tail([1, 0, 0]))
+    # tail products keep the common exact prefix; composition refuses
+    assert series_equal(series_mul(tail([1, 0]), tail([1, 0, 0])),
+                        tail([0, 1]))
     with pytest.raises(SeriesOrderError):
         aut_compose(aut([0, 1]), aut([0, 1, 0]))
 
@@ -257,3 +258,39 @@ def test_recurrences_equal_their_power_sums(order, dense):
         assert series_exp(a).tail.coeffs == _exp_power_sum(a).coeffs
         rho = AutSeries(_rand_coeffs(order + 1, rng, dense), R)
         assert series_inv_aut(rho).coeffs == _inv_power_sum(rho)
+
+
+def _prefix(a, n):
+    return TailSeries(a.coeffs[:n], R)
+
+
+@pytest.mark.parametrize("dense", [True, False])
+def test_mixed_orders_give_the_common_exact_prefix(dense):
+    """Each tail operation on operands cut to orders na and nb equals the
+    operation at order 6 cut to min(na, nb)."""
+    rng = random.Random(60 + dense)
+    for na in range(2, 7):
+        for nb in range(2, 7):
+            a, b = (TailSeries(_rand_coeffs(6, rng, dense), R)
+                    for _ in range(2))
+            s = _rand_cyclo(rng)
+            ta, tb = _prefix(a, na), _prefix(b, nb)
+            for got, full in ((ta + tb, a + b), (ta - tb, a - b),
+                              (ta.add_scaled(tb, s), a.add_scaled(b, s)),
+                              (series_mul(ta, tb), series_mul(a, b))):
+                assert got.coeffs == full.coeffs[:min(na, nb)]
+
+
+@pytest.mark.parametrize("dense", [True, False])
+def test_exp_times_tail_is_exact_one_order_past_the_exp(dense):
+    """exp(a) at order ne times a tail at order nt is exact to
+    min(ne + 1, nt): E_ne + 1 is never read."""
+    rng = random.Random(70 + dense)
+    for ne in range(2, 7):
+        for nt in range(2, 7):
+            a, t = (TailSeries(_rand_coeffs(6, rng, dense), R)
+                    for _ in range(2))
+            full = (series_exp(a) * t).coeffs
+            e, tt = series_exp(_prefix(a, ne)), _prefix(t, nt)
+            for got in (e * tt, tt * e):
+                assert got.coeffs == full[:min(ne + 1, nt)]
