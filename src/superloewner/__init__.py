@@ -28,6 +28,6 @@ from .matrixrep import BatchAssembler, MatrixModule
 from .observables import current_via_module, dual_words, observable_current
 from .harness import (ConfigError, MartingaleReport, RunConfig, SimResult,
                       martingale_seed_suite, martingale_test,
-                      parse_config_file, simulate, trace)
+                      parse_config_file, simulate)
 
 __version__ = "0.1.0"

@@ -1,8 +1,8 @@
 """Command line interface.
 
-Subcommands: verify-annihilator, verify-virasoro, null-scan, simulate,
-martingale-test, trace, each with only the flags it reads.  The three
-run commands also read a config file, but only the keys they read; a
+Subcommands: verify-annihilator, verify-virasoro, null-scan, simulate
+and martingale-test, each with only the flags it reads.  The two run
+commands also read a config file, but only the keys they read; a
 flag overrides it and parses as the config value of its field does
 ("1/2" works).  Exit code 0 means every check passed, 1 means a check
 failed, 2 a usage or config error.
@@ -19,7 +19,7 @@ from .grassmann import GrassRing, GrassmannScalar, berezin
 from .affine import Module, Vector, annihilator_apply, mode, sugawara, act_mode
 from .harness import (FLAGS, READS, ConfigError, RunConfig, check_level,
                       convert_field, csv_text, json_text, martingale_test,
-                      parse_config_file, parse_value, simulate, trace,
+                      parse_config_file, parse_value, simulate,
                       trajectory_columns, trajectory_rows, write_csv,
                       write_json)
 from .nullscan import null_conditions
@@ -54,8 +54,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="superloewner", allow_abbrev=False,
         description="SLE with osp(1|2) internal symmetry: verification "
                     "and simulation")
-    p.add_argument("--config", help="key=value config file (simulate, "
-                                    "martingale-test and trace only)")
+    p.add_argument("--config", help="key=value config file (simulate and "
+                                    "martingale-test only)")
     sub = p.add_subparsers(dest="command", required=True)
     # no prefix matching: "--k" must not stand for "--k-list" or "--kappa"
     add = functools.partial(sub.add_parser, allow_abbrev=False)
@@ -105,21 +105,6 @@ def _emit(payload, cfg_out):
     if cfg_out:
         write_json(cfg_out, payload)
     print(json_text(payload), end="")
-
-
-def _write_rows(cfg, cols, rows, payload, noun) -> int:
-    """The rows as cfg.format (payload is the JSON), to cfg.out or stdout."""
-    as_csv = cfg.format == "csv"
-    if not cfg.out:
-        sys.stdout.write(csv_text(cols, rows) if as_csv
-                         else json_text(payload))
-    else:
-        if as_csv:
-            write_csv(cfg.out, cols, rows)
-        else:
-            write_json(cfg.out, payload)
-        print(f"wrote {len(rows)} {noun} rows to {cfg.out}")
-    return 0
 
 
 def cmd_verify_annihilator(args) -> int:
@@ -229,8 +214,18 @@ def cmd_simulate(args) -> int:
     cfg = _merge_config(args)
     rows = trajectory_rows(simulate(cfg))
     cols = trajectory_columns(cfg.order)
-    return _write_rows(cfg, cols, rows, {"columns": cols, "rows": rows},
-                       "checkpoint")
+    payload = {"columns": cols, "rows": rows}
+    as_csv = cfg.format == "csv"
+    if not cfg.out:
+        sys.stdout.write(csv_text(cols, rows) if as_csv
+                         else json_text(payload))
+    else:
+        if as_csv:
+            write_csv(cfg.out, cols, rows)
+        else:
+            write_json(cfg.out, payload)
+        print(f"wrote {len(rows)} checkpoint rows to {cfg.out}")
+    return 0
 
 
 def cmd_martingale_test(args) -> int:
@@ -242,22 +237,12 @@ def cmd_martingale_test(args) -> int:
     return 0 if report.all_pass() else 1
 
 
-def cmd_trace(args) -> int:
-    cfg = _merge_config(args)
-    result = trace(cfg)
-    rows = [[t, z.real, z.imag, s] for t, z, s in
-            zip(result.times, result.tips, result.swallowed)]
-    return _write_rows(cfg, ["t", "tip.re", "tip.im", "swallowed"], rows,
-                       result.to_json(), "trace")
-
-
 _COMMANDS = {
     "verify-annihilator": cmd_verify_annihilator,
     "verify-virasoro": cmd_verify_virasoro,
     "null-scan": cmd_null_scan,
     "simulate": cmd_simulate,
     "martingale-test": cmd_martingale_test,
-    "trace": cmd_trace,
 }
 
 

@@ -74,12 +74,6 @@ class RunConfig:
     checkpoints: tuple = ()
     variant: str = "derived"
     word_depth: int = 2
-    # trace-specific grid
-    trace_xmax: float = 1.5
-    trace_ymax: float = 1.5
-    trace_nx: int = 61
-    trace_ny: int = 40
-    trace_eps: float = 1e-3
 
     def resolved_tau(self) -> float:
         if self.tau is None:
@@ -107,6 +101,8 @@ class RunConfig:
             raise ConfigError("module depth must be at least 2")
         if self.paths < 1:
             raise ConfigError("need at least one path")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.t_max < 0:
             raise ConfigError("t_max must be nonnegative")
         if not 1 <= self.word_depth <= self.depth:
@@ -136,20 +132,17 @@ class RunConfig:
 
 # the RunConfig fields each run command takes as flags (out and format
 # where it writes them), and those it reads from a config file only;
-# READS is both: the martingale report and the trace JSON echo it, and
-# the CLI refuses any other key
+# READS is both: the martingale report echoes it, and the CLI refuses
+# any other key
 _SIMULATE_FLAGS = ("k", "kappa", "tau", "order", "dt", "t_max", "paths",
                    "seed", "out", "format", "checkpoints", "variant")
 FLAGS = {
     "simulate": _SIMULATE_FLAGS,
     "martingale-test": tuple(f for f in _SIMULATE_FLAGS if f != "format"),
-    "trace": ("kappa", "dt", "t_max", "seed", "out", "format"),
 }
 _CONFIG_ONLY = {
     "simulate": (),
     "martingale-test": ("depth", "word_depth"),
-    "trace": ("trace_xmax", "trace_ymax", "trace_nx", "trace_ny",
-              "trace_eps"),
 }
 READS = {command: flags + _CONFIG_ONLY[command]
          for command, flags in FLAGS.items()}
@@ -519,63 +512,6 @@ def martingale_seed_suite(cfg: RunConfig, seeds) -> dict:
                          "all_pass": rep.all_pass()})
     return {"seeds": per_seed, "cells": total, "passed": passed,
             "pass_rate": passed / total if total else 0.0}
-
-
-# -- pointwise trace -------------------------------------------------------
-
-@dataclass
-class TraceResult:
-    config: RunConfig
-    times: list
-    tips: list          # complex tip estimate per recorded time
-    swallowed: list     # count of swallowed grid points per recorded time
-
-    def to_json(self) -> dict:
-        return {"config": {f: getattr(self.config, f)
-                           for f in READS["trace"]},
-                "times": self.times,
-                "tips": [[z.real, z.imag] for z in self.tips],
-                "swallowed": self.swallowed}
-
-
-def trace(cfg: RunConfig, record_every: int = 25) -> TraceResult:
-    """Evolve rho_t pointwise on a UHP grid and track the tip preimage.
-
-    The tip gamma(t) ~ g_t^{-1}(B0_t) is the active grid point where
-    |rho_t(z)| is smallest (g_t = rho_t + B0_t); points with
-    |rho_t| < eps are frozen and flagged swallowed, and any point that
-    stops being finite is flagged by the divergence guard.
-    """
-    cfg.validate()
-    xs = np.linspace(-cfg.trace_xmax, cfg.trace_xmax, cfg.trace_nx)
-    ys = np.linspace(cfg.trace_ymax / cfg.trace_ny, cfg.trace_ymax,
-                     cfg.trace_ny)
-    grid = (xs[None, :] + 1j * ys[:, None]).ravel()
-    rho = grid.copy()
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    nsteps = int(round(cfg.t_max / cfg.dt))
-    swallowed = np.zeros(rho.shape, dtype=bool)
-    times, tips, counts = [0.0], [0j], [0]
-    for step in range(1, nsteps + 1):
-        dB0 = rng.standard_normal() * np.sqrt(cfg.kappa * cfg.dt)
-        active = ~swallowed
-        rho[active] = rho[active] + (2.0 / rho[active]) * cfg.dt - dB0
-        # a point is gone once |rho| dips below eps or it leaves the upper
-        # half plane (Euler can step across the singularity in one move)
-        bad = (~np.isfinite(rho) | (np.abs(rho) < cfg.trace_eps)
-               | (rho.imag <= 0))
-        swallowed |= bad
-        if step % record_every == 0 or step == nsteps:
-            active = ~swallowed
-            if active.any():
-                idx = np.argmin(np.abs(rho) + np.where(active, 0.0, np.inf))
-                tip = grid[idx]
-            else:
-                tip = grid[np.argmin(np.abs(grid))]
-            times.append(step * cfg.dt)
-            tips.append(complex(tip))
-            counts.append(int(swallowed.sum()))
-    return TraceResult(config=cfg, times=times, tips=tips, swallowed=counts)
 
 
 # -- file output ------------------------------------------------------------

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from superloewner.affine import expectation, mode
-from superloewner.evolution import FlowState, initial_state
+from superloewner.evolution import (DRIVERS, FlowState, flow_step,
+                                    initial_state)
 from superloewner.generator import JetRing, jet_state, state_drift
 from superloewner.observables import observable_current
 from superloewner.scalars import EXACT, rational
@@ -115,6 +116,51 @@ def test_derived_drift_vanishes_at_depth_3():
                             x12H=TailSeries.monomial(-1, R.one, 3, R))
     d = state_drift(s, k, kap, tau, R, 3)
     assert not [m for m in d.terms if _depth(m) == 3]
+
+
+def _reached(variant, tau, seed):
+    """The state after 3 exact Euler steps from the order-4 vacuum."""
+    rng = random.Random(seed)
+    s = initial_state(4, R)
+    for _ in range(3):
+        incs = {d: rational(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+                for d in DRIVERS}
+        s = flow_step(s, rational("1/10"), incs, tau, variant=variant)
+    return s
+
+
+# the zeta^{-j} coefficients, j listed, that the flow from the vacuum never
+# sets: every base of these processes starts one or two degrees lower
+_STRUCTURAL_ZEROS = {
+    "derived": {"x1e": [1], "x2f": [1], "x12E": [1, 2], "x12H": [1],
+                "x12F": [1, 2]},
+    "displayed": {"x1f": [1], "x2e": [1], "x12E": [1, 2], "x12H": [1],
+                  "x12F": [1, 2]},
+}
+
+
+@pytest.mark.parametrize("variant", ["derived", "displayed"])
+def test_structural_zeros_on_reachable_states(variant):
+    for seed in range(3):
+        s = _reached(variant, rational("4/5"), seed)
+        for name, js in _STRUCTURAL_ZEROS[variant].items():
+            coeffs = getattr(s, name).coeffs
+            assert all(coeffs[j - 1] == R.zero for j in js), (seed, name)
+            # the next coefficient does move
+            assert coeffs[js[-1]] != R.zero, (seed, name)
+
+
+@pytest.mark.parametrize("kq,kapq", [("1", "2"), ("1/2", "8/3")])
+def test_derived_drift_vanishes_at_depth_3_on_reachable_states(kq, kapq):
+    # the xfail above sets x12H's zeta^{-1} coefficient, which the flow
+    # never does; on the states it reaches the depth-3 drift is zero, and
+    # the displayed variant, the control, drifts there
+    k, kap = rational(kq), rational(kapq)
+    tau = rational(2) / (k + rational("3/2"))
+    for variant in ("derived", "displayed"):
+        d = state_drift(_reached(variant, tau, 0), k, kap, tau, R, 3,
+                        variant=variant)
+        assert d.is_zero() == (variant == "derived"), variant
 
 
 def test_wrong_tau_breaks_the_balance():

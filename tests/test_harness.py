@@ -15,7 +15,7 @@ from superloewner.evolution import flow_step
 from superloewner.harness import (BlockDrivers, ConfigError,
                                   MartingaleCell, MartingaleReport, RunConfig,
                                   martingale_seed_suite, martingale_test,
-                                  parse_config_file, simulate, trace,
+                                  parse_config_file, simulate,
                                   trajectory_columns, trajectory_rows,
                                   write_csv)
 from superloewner.series import SeriesOrderError
@@ -44,6 +44,9 @@ def test_config_validation():
         RunConfig(depth=2, word_depth=3).validate()
     with pytest.raises(ConfigError):
         RunConfig(word_depth=0).validate()
+    # numpy's SeedSequence refuses a negative seed with a traceback
+    with pytest.raises(ConfigError, match="seed must be nonnegative, got -1"):
+        RunConfig(seed=-1).validate()
     # degenerate but documented configurations are accepted
     RunConfig(tau=0.0).validate()
     RunConfig(kappa=0.0).validate()
@@ -372,26 +375,6 @@ def test_dt_halving_weak_consistency():
             assert abs(mf - mc) < max(se, 1e-12), name
 
 
-def test_trace_zero_noise_slit():
-    cfg = RunConfig(k=1.0, kappa=0.0, tau=0.0, dt=1e-4, t_max=0.16, seed=3,
-                    trace_xmax=1.0, trace_ymax=1.2, trace_nx=81, trace_ny=96)
-    res = trace(cfg, record_every=400)
-    assert res.times[0] == 0.0 and res.tips[0] == 0j
-    for t, tip in zip(res.times, res.tips):
-        if t > 0:
-            assert abs(tip - 2j * np.sqrt(t)) < 0.05, t
-    assert res.swallowed[-1] > 0
-
-
-def test_trace_swallow_flag_grows():
-    cfg = RunConfig(k=1.0, kappa=0.0, tau=0.0, dt=1e-4, t_max=0.09, seed=3,
-                    trace_xmax=0.5, trace_ymax=0.8, trace_nx=21,
-                    trace_ny=40)
-    res = trace(cfg, record_every=300)
-    assert res.swallowed == sorted(res.swallowed)
-    assert res.swallowed[-1] >= res.swallowed[1] > 0
-
-
 def test_trajectory_csv_schema(tmp_path):
     cfg = small_cfg(paths=3, checkpoints=(0.01, 0.02))
     res = simulate(cfg)
@@ -489,12 +472,12 @@ def test_cli_exit_codes(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:  # argparse rejects the flag
         cli.main(["null-scan", "--lam", "1/0"])
     assert exc.value.code == 2 and "--lam" in capsys.readouterr().err
-    # the critical level k = -3/2 is a config error in every subcommand;
-    # trace takes k from a config file only, and refuses it there
+    # the critical level k = -3/2 is a config error in every subcommand,
+    # given as a flag or in a config file
     bad.write_text("k = -3/2\n")
     for args in (("simulate", "--k", "-1.5"),
                  ("martingale-test", "--k", "-1.5"),
-                 ("--config", str(bad), "trace"),
+                 ("--config", str(bad), "simulate"),
                  ("verify-virasoro", "--k-list=-3/2"),
                  ("verify-annihilator", "--k-list=1,-3/2"),
                  ("null-scan", "--k=-3/2")):
@@ -511,6 +494,17 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert r.returncode == 2, (args, r.stderr)
         assert "config error" in r.stderr and "k " in r.stderr, args
         assert "Traceback" not in r.stderr, args
+    # a negative seed is a config error naming the seed, no traceback
+    bad.write_text("seed = -3\n")
+    for args in (("simulate", "--paths", "3", "--t-max", "0.002",
+                  "--seed", "-1"),
+                 ("martingale-test", "--paths", "150", "--t-max", "0.002",
+                  "--seed", "-1"),
+                 ("--config", str(bad), "simulate")):
+        r = _run_cli(*args)
+        assert r.returncode == 2, (args, r.stderr)
+        assert "config error" in r.stderr and "seed" in r.stderr, args
+        assert "Traceback" not in r.stderr, args
     # a scan with no samples confirms nothing
     for n in ("0", "-3"):
         assert cli.main(["null-scan", "--samples", n]) == 2, n
@@ -524,32 +518,42 @@ _FLAG_SETS = {
     "simulate": {"--k", "--kappa", "--tau", "--order", "--dt", "--t-max",
                  "--paths", "--seed", "--out", "--format", "--checkpoints",
                  "--variant"},
-    "trace": {"--kappa", "--dt", "--t-max", "--seed", "--out", "--format"},
 }
 _FLAG_SETS["martingale-test"] = _FLAG_SETS["simulate"] - {"--format"}
 
 
+def _subparsers() -> dict:
+    return next(a for a in cli.build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def test_each_subcommand_takes_only_the_flags_it_reads(tmp_path, capsys):
-    parser = cli.build_parser()
-    sub = next(a for a in parser._actions
-               if isinstance(a, argparse._SubParsersAction))
     got = {name: {o for a in sp._actions for o in a.option_strings
                   if o not in ("-h", "--help")}
-           for name, sp in sub.choices.items()}
+           for name, sp in _subparsers().items()}
     assert got == _FLAG_SETS
-    assert sum(map(len, got.values())) == 39
+    assert sum(map(len, got.values())) == 33
     cfg = tmp_path / "f.cfg"
     cfg.write_text("k = 2\n")
     for args in (("verify-virasoro", "--k", "2"),
-                 ("trace", "--paths", "7"),
-                 ("trace", "--k", "1"),
+                 ("simulate", "--pa", "7"),
+                 ("martingale-test", "--lam", "1"),
                  ("martingale-test", "--format", "csv"),
+                 ("trace", "--t-max", "0.002"),
                  ("simulate", "--depth", "4")):
         with pytest.raises(SystemExit) as exc:
             cli.main(list(args))
         assert exc.value.code == 2, args
     assert cli.main(["--config", str(cfg), "verify-annihilator"]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_readme_cli_block_lists_the_subcommands():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text().split("## CLI", 1)[1].split("```")[1]
+    names = [line.split()[1] for line in block.splitlines()
+             if line.startswith("superloewner ")]
+    assert sorted(names) == sorted(_subparsers())
 
 
 def test_run_flags_parse_like_config_values(tmp_path, capsys):
@@ -593,7 +597,7 @@ def test_cli_simulate_determinism(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_format_applies_on_stdout(capsys):
+def test_format_applies_on_stdout(tmp_path, capsys):
     sim = ["simulate", "--paths", "5", "--t-max", "0.002", "--seed", "3"]
     assert cli.main(sim) == 0
     csv_out = capsys.readouterr().out
@@ -601,44 +605,31 @@ def test_format_applies_on_stdout(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert csv_out.splitlines()[0] == ",".join(payload["columns"])
     assert len(payload["rows"]) == len(csv_out.splitlines()) - 1
-    # csv is the default on stdout as in a file, for trace as well
-    tr = ["trace", "--t-max", "0.002", "--seed", "3"]
-    assert cli.main([*tr, "--format", "json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert cli.main(tr) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines[0] == "t,tip.re,tip.im,swallowed"
-    assert len(lines) == 1 + len(payload["times"])
+    # the same JSON goes to a file, and stdout only names it
+    out = tmp_path / "s.json"
+    assert cli.main([*sim, "--format", "json", "--out", str(out)]) == 0
+    assert json.loads(out.read_text()) == payload
+    assert capsys.readouterr().out == f"wrote 1 checkpoint rows to {out}\n"
 
 
-@pytest.mark.parametrize("command", ["trace", "martingale-test"])
+# the run commands whose output echoes their config
+@pytest.mark.parametrize("command", ["martingale-test"])
 def test_json_echoes_only_the_keys_the_command_reads(command, tmp_path,
                                                      capsys):
     out = tmp_path / "r.json"
-    flags = {"trace": ["--t-max", "0.002", "--format", "json"],
-             "martingale-test": ["--paths", "200", "--t-max", "0.002",
-                                 "--out", str(out)]}[command]
-
-    # the martingale gate may fail at 200 paths; trace always succeeds
-    codes = {"trace": (0,), "martingale-test": (0, 1)}[command]
 
     def run(*argv):
-        assert cli.main([*argv, command, *flags]) in codes
-        text = capsys.readouterr().out
-        if out.exists():  # read only what this run wrote
-            text = out.read_text()
-            out.unlink()
-        return json.loads(text)
+        # the martingale gate may fail at 200 paths
+        assert cli.main([*argv, command, "--paths", "200", "--t-max",
+                         "0.002", "--out", str(out)]) in (0, 1)
+        capsys.readouterr()
+        return json.loads(out.read_text())
 
     payload = run()
     config = payload["config"]
     assert set(config) == set(harness.READS[command]) == {
-        "trace": {"kappa", "dt", "t_max", "seed", "out", "format",
-                  "trace_xmax", "trace_ymax", "trace_nx", "trace_ny",
-                  "trace_eps"},
-        "martingale-test": {"k", "kappa", "tau", "order", "depth", "dt",
-                            "t_max", "paths", "seed", "out", "checkpoints",
-                            "variant", "word_depth"}}[command]
+        "k", "kappa", "tau", "order", "depth", "dt", "t_max", "paths",
+        "seed", "out", "checkpoints", "variant", "word_depth"}
     assert config["t_max"] == 0.002
     # the echo read back as a config file gives the same run
     cfg = tmp_path / "echo.cfg"
@@ -647,29 +638,26 @@ def test_json_echoes_only_the_keys_the_command_reads(command, tmp_path,
         for k, v in config.items() if v is not None))
     echoed = run("--config", str(cfg))
     assert echoed["config"] == config
-    if command == "trace":
-        assert echoed == payload
-    else:
-        assert echoed["cells"] == payload["cells"]
+    assert echoed["cells"] == payload["cells"]
 
 
 def test_config_keys_the_command_does_not_read_are_refused(tmp_path, capsys):
     cfg = tmp_path / "r.cfg"
-    for command, text, keys in (("trace", "paths = 7\nvariant = displayed\n",
-                                 "['paths', 'variant']"),
-                                ("martingale-test", "format = json\n",
+    for command, text, keys in (("martingale-test", "format = json\n",
                                  "['format']"),
-                                ("simulate", "word_depth = 1\n",
-                                 "['word_depth']")):
+                                ("simulate", "word_depth = 1\ndepth = 3\n",
+                                 "['depth', 'word_depth']")):
         cfg.write_text(text)
         assert cli.main(["--config", str(cfg), command]) == 2, command
         err = capsys.readouterr().err
         assert f"config error: config keys {keys} are not read by " \
                f"{command}" in err
-    # each command's config-only keys are read
-    cfg.write_text("trace_nx = 5\ntrace_ny = 4\nt_max = 0.002\n")
-    assert cli.main(["--config", str(cfg), "trace", "--format", "json"]) == 0
-    assert json.loads(capsys.readouterr().out)["config"]["trace_nx"] == 5
+    # a key that is no RunConfig field is unknown to every command
+    cfg.write_text("trace_nx = 5\n")
+    assert cli.main(["--config", str(cfg), "simulate"]) == 2
+    assert "config error: unknown config keys: ['trace_nx']" \
+        in capsys.readouterr().err
+    # martingale-test reads its config-only keys
     cfg.write_text("depth = 3\nword_depth = 1\npaths = 100\n"
                    "t_max = 0.002\n")
     assert cli.main(["--config", str(cfg), "martingale-test"]) in (0, 1)
