@@ -16,18 +16,17 @@ for every kappa; at any other tau a definite depth-2 vector survives.
 from fractions import Fraction
 
 from superloewner import Module, Vector, annihilator_apply, berezin
-from superloewner.grassmann import GrassRing, GrassmannScalar
-from superloewner.scalars import EXACT, rational
+from superloewner.grassmann import GrassRing
+from superloewner.scalars import EXACT
 
 G = GrassRing(EXACT)
 
 
 def residual(k, kappa, tau):
-    module = Module(G, GrassmannScalar.body(rational(k)), 4)
+    module = Module(G, G.from_rational(k), 4)
     v0 = Vector.floor_vector(module)
     v = v0 + v0.scale(G.eta12)
-    out = annihilator_apply(G.from_rational(kappa),
-                            GrassmannScalar.body(rational(tau)), v)
+    out = annihilator_apply(G.from_rational(kappa), G.from_rational(tau), v)
     return {m: berezin(c) for m, c in out.terms.items()
             if not berezin(c).is_zero()}
 

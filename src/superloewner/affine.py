@@ -26,8 +26,7 @@ L_n and the annihilating operator Xi both sum the Casimir table
 
 from __future__ import annotations
 
-from .grassmann import GrassmannScalar
-from .scalars import Cyclo8, EXACT, is_zero
+from .scalars import EXACT, is_zero
 from .superalgebra import (CASIMIR, CriticalLevelError, H_VEE, PARITY,
                            SYMBOLS, bracket_symbols, form_symbols)
 
@@ -148,9 +147,7 @@ class Module:
             if is_zero(denom):
                 raise CriticalLevelError(
                     f"Sugawara undefined at k = {-H_VEE}")
-            self._prefactor = (
-                GrassmannScalar.body(ring.base.one / denom.comp[0])
-                if isinstance(denom, GrassmannScalar) else ring.one / denom)
+            self._prefactor = ring.one / denom
         return self._prefactor
 
 
@@ -312,8 +309,7 @@ def expectation(word, v: Vector):
 def conformal_weight(lam, k):
     """L_0 eigenvalue lambda(lambda+1)/(4(k + h_vee)) of the weight-lambda
     vector, at exact lambda and k."""
-    if not isinstance(lam, Cyclo8):
-        lam, k = EXACT.from_rational(lam), EXACT.from_rational(k)
+    lam, k = EXACT.coerce(lam), EXACT.coerce(k)
     denom = (k + EXACT.from_rational(H_VEE)) * EXACT.from_int(4)
     if is_zero(denom):
         raise CriticalLevelError(f"critical level k = {-H_VEE}")

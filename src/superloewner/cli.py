@@ -15,7 +15,7 @@ import functools
 import sys
 from fractions import Fraction
 
-from .grassmann import GrassRing, GrassmannScalar, berezin
+from .grassmann import GrassRing, berezin
 from .affine import Module, Vector, annihilator_apply, mode, sugawara, act_mode
 from .harness import (FLAGS, READS, ConfigError, RunConfig, check_level,
                       convert_field, csv_text, json_text, martingale_test,
@@ -93,12 +93,11 @@ def _merge_config(args) -> RunConfig:
         text = getattr(args, f)
         if text is not None:
             values[f] = convert_field(f, text, _flag(f))
-    cfg = RunConfig(**values).validate()
     unread = set(values) - set(READS[args.command])
     if unread:
         raise ConfigError(f"config keys {sorted(unread)} are not read by "
                           f"{args.command}")
-    return cfg
+    return RunConfig(**values).validate()
 
 
 def _emit(payload, cfg_out):
@@ -115,13 +114,11 @@ def cmd_verify_annihilator(args) -> int:
     ok = True
     for k in ks:
         for kap in kappas:
-            kk = EXACT.from_rational(k)
-            tau = structure_constants(kk).tau_default
-            module = Module(G, GrassmannScalar.body(kk), 4)
+            tau = structure_constants(k).tau_default
+            module = Module(G, G.from_rational(k), 4)
             v0 = Vector.floor_vector(module)
             v = v0 + v0.scale(G.eta12)
-            out = annihilator_apply(GrassmannScalar.body(
-                EXACT.from_rational(kap)), GrassmannScalar.body(tau), v)
+            out = annihilator_apply(G.from_rational(kap), G.lift(tau), v)
             resid = {m: berezin(c) for m, c in out.terms.items()}
             nonzero = {str(m): str(c) for m, c in resid.items()
                        if not c.is_zero()}

@@ -26,39 +26,40 @@ from __future__ import annotations
 from .affine import Module, Vector
 from .evolution import (DRIVERS, FlowState, assemble_state_vector, sde_terms,
                         PROCESS_NAMES)
-from .scalars import is_zero
+from .scalars import Ring, is_zero
 from .series import AutSeries, TailSeries, series_inv_aut
 
 
 class ItoJet:
-    """val + dt*delta + sum_d b[d]*beta_d over an exact base scalar."""
+    """val + dt*delta + sum_d b[d]*beta_d over an exact base ring."""
 
-    __slots__ = ("val", "dt", "b", "spec")
+    __slots__ = ("val", "dt", "b", "base", "variances")
 
-    def __init__(self, val, dt, b, spec):
+    def __init__(self, val, dt, b, base, variances):
         self.val = val
         self.dt = dt
         self.b = tuple(b)
-        self.spec = spec  # JetRing carrying the driver variances
+        self.base = base
+        self.variances = variances  # (kappa, tau, tau, tau, tau)
 
     def _lift(self, other):
         if isinstance(other, ItoJet):
             return other
-        if isinstance(other, int):
-            return self.spec.from_int(other)
-        return ItoJet(other, self.spec.base.zero,
-                      (self.spec.base.zero,) * 5, self.spec)
+        zb = self.base.zero
+        return ItoJet(self.base.coerce(other), zb, (zb,) * 5, self.base,
+                      self.variances)
 
     def __add__(self, other):
         o = self._lift(other)
         return ItoJet(self.val + o.val, self.dt + o.dt,
-                      tuple(x + y for x, y in zip(self.b, o.b)), self.spec)
+                      tuple(x + y for x, y in zip(self.b, o.b)), self.base,
+                      self.variances)
 
     __radd__ = __add__
 
     def __neg__(self):
         return ItoJet(-self.val, -self.dt, tuple(-x for x in self.b),
-                      self.spec)
+                      self.base, self.variances)
 
     def __sub__(self, other):
         return self + (-self._lift(other))
@@ -68,37 +69,38 @@ class ItoJet:
 
     def __mul__(self, other):
         o = self._lift(other)
-        ito = self.spec.base.zero
-        for var, xb, yb in zip(self.spec.variances, self.b, o.b):
+        ito = self.base.zero
+        for var, xb, yb in zip(self.variances, self.b, o.b):
             ito = ito + var * xb * yb
         return ItoJet(
             self.val * o.val,
             self.val * o.dt + self.dt * o.val + ito,
             tuple(self.val * yb + xb * o.val for xb, yb in zip(self.b, o.b)),
-            self.spec)
+            self.base, self.variances)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, int):
             return ItoJet(self.val / other, self.dt / other,
-                          tuple(x / other for x in self.b), self.spec)
+                          tuple(x / other for x in self.b), self.base,
+                          self.variances)
         return self * self._lift(other).inverse()
 
     def inverse(self):
-        base = self.spec.base
+        base = self.base
         inv_v = base.one / self.val
         # (v + n)^{-1} = v^{-1} - v^{-2} n + v^{-3} n^2 with n nilpotent
         n_dt, n_b = self.dt, self.b
         n2_dt = base.zero
-        for var, xb in zip(self.spec.variances, n_b):
+        for var, xb in zip(self.variances, n_b):
             n2_dt = n2_dt + var * xb * xb
         iv2 = inv_v * inv_v
         iv3 = iv2 * inv_v
         return ItoJet(inv_v,
                       -iv2 * n_dt + iv3 * n2_dt,
                       tuple(-iv2 * xb for xb in n_b),
-                      self.spec)
+                      base, self.variances)
 
     def is_zero(self) -> bool:
         return (is_zero(self.val) and is_zero(self.dt)
@@ -115,33 +117,15 @@ class ItoJet:
         return f"Jet(val={self.val}, dt={self.dt}, b={self.b})"
 
 
-class JetRing:
-    """Ring handle for ItoJet coefficients over an exact base ring."""
-
-    def __init__(self, base, variances):
-        self.base = base
-        self.variances = tuple(variances)  # (kappa, tau, tau, tau, tau)
-        zb = base.zero
-        self.zero = ItoJet(zb, zb, (zb,) * 5, self)
-        self.one = ItoJet(base.one, zb, (zb,) * 5, self)
-        self.i = ItoJet(base.i, zb, (zb,) * 5, self)
-        self.sqrt2 = ItoJet(base.sqrt2, zb, (zb,) * 5, self)
-        self.name = "jet:" + base.name
-
-    def from_int(self, n):
-        zb = self.base.zero
-        return ItoJet(self.base.from_int(n), zb, (zb,) * 5, self)
-
-    def from_rational(self, v):
-        zb = self.base.zero
-        return ItoJet(self.base.from_rational(v), zb, (zb,) * 5, self)
-
-    def constant(self, value):
-        zb = self.base.zero
-        return ItoJet(value, zb, (zb,) * 5, self)
-
-    def coordinate(self, value, drift, diffusions):
-        return ItoJet(value, drift, tuple(diffusions), self)
+def JetRing(base: Ring, variances) -> Ring:
+    """The ring of ItoJet coefficients over `base` with the driver
+    variances (kappa, tau, tau, tau, tau); its lift is the constant jet."""
+    variances = tuple(variances)
+    zeros = (base.zero,) * 5
+    ring = Ring.over(base, lambda v: ItoJet(v, base.zero, zeros, base,
+                                            variances), "jet")
+    ring.variances = variances
+    return ring
 
 
 def jet_state(state: FlowState, kappa, tau, variant: str = "derived"):
@@ -152,14 +136,16 @@ def jet_state(state: FlowState, kappa, tau, variant: str = "derived"):
     Loewner equation (rho).  Returns (jet_ring, FlowState over jets).
     """
     ring = state.rho.ring
-    spec = JetRing(ring, (kappa, tau, tau, tau, tau))
+    variances = (kappa, tau, tau, tau, tau)
+    spec = JetRing(ring, variances)
     u = series_inv_aut(state.rho)
     terms = sde_terms(state, u, tau, variant=variant)
-    n = state.order
     zb = ring.zero
 
+    def jet(val, dt, b):
+        return ItoJet(val, dt, b, ring, variances)
+
     def lift_tail(name: str) -> TailSeries:
-        series = getattr(state, name)
         spec_terms = terms[name]
 
         def coeff(key, j):
@@ -168,21 +154,16 @@ def jet_state(state: FlowState, kappa, tau, variant: str = "derived"):
             base, s = spec_terms[key]
             return base.coeffs[j] * s
 
-        return TailSeries([spec.coordinate(series.coeffs[j], coeff("dt", j),
-                                           [coeff(d, j) for d in DRIVERS])
-                           for j in range(n)], spec)
+        return TailSeries(
+            [jet(c, coeff("dt", j), [coeff(d, j) for d in DRIVERS])
+             for j, c in enumerate(getattr(state, name).coeffs)], spec)
 
-    rho_coeffs = []
-    for j in range(n + 1):
-        val = state.rho.coeffs[j]
-        # d a_0 = -dB0; d a_{-j} = 2 u_{-j} dt
-        if j == 0:
-            rho_coeffs.append(spec.coordinate(
-                val, zb, (-ring.one, zb, zb, zb, zb)))
-        else:
-            rho_coeffs.append(spec.coordinate(
-                val, ring.from_int(2) * u.coeffs[j - 1], (zb,) * 5))
-    jrho = AutSeries(rho_coeffs, spec)
+    # d a_0 = -dB0; d a_{-j} = 2 u_{-j} dt
+    a = state.rho.coeffs
+    jrho = AutSeries([jet(a[0], zb, (-ring.one,) + (zb,) * 4)]
+                     + [jet(aj, ring.from_int(2) * uj, (zb,) * 5)
+                        for aj, uj in zip(a[1:], u.coeffs, strict=True)],
+                     spec)
     jstate = FlowState(rho=jrho,
                        **{nm: lift_tail(nm) for nm in PROCESS_NAMES},
                        t=state.t)
@@ -197,7 +178,7 @@ def state_drift(state: FlowState, k, kappa, tau, ring, nrep: int,
     component is the delta part of the jet-assembled state.
     """
     spec, jstate = jet_state(state, kappa, tau, variant=variant)
-    jmod = Module(spec, spec.constant(k), nrep)
+    jmod = Module(spec, spec.lift(k), nrep)
     jvec = assemble_state_vector(jstate, jmod)
     base_mod = Module(ring, k, nrep)
     return Vector(base_mod, {m: c.dt for m, c in jvec.terms.items()})

@@ -11,7 +11,7 @@ int deta2 deta1 (eta1 eta2) = 1: it reads off the top component.
 
 from __future__ import annotations
 
-from .scalars import is_zero
+from .scalars import Ring, is_zero
 
 # basis index is a bitmask: bit0 = eta1 present, bit1 = eta2 present
 _BASIS_NAMES = ("1", "eta1", "eta2", "eta1*eta2")
@@ -77,7 +77,9 @@ class GrassmannScalar:
 
     def __truediv__(self, other):
         if isinstance(other, GrassmannScalar):
-            raise TypeError("divide by the scalar body instead")
+            if not all(is_zero(c) for c in other.comp[1:]):
+                raise TypeError("only a pure-body divisor is supported")
+            other = other.comp[0]
         a = self.comp
         return GrassmannScalar(a[0] / other, a[1] / other,
                                a[2] / other, a[3] / other)
@@ -116,26 +118,12 @@ def berezin(a: GrassmannScalar):
     return a.comp[3]
 
 
-class GrassRing:
-    """Ring handle wrapping a base scalar ring (see scalars.Ring)."""
-
-    def __init__(self, base):
-        self.base = base
-        self.zero = GrassmannScalar.body(base.zero)
-        self.one = GrassmannScalar.body(base.one)
-        self.i = GrassmannScalar.body(base.i)
-        self.sqrt2 = GrassmannScalar.body(base.sqrt2)
-        self.name = "grassmann:" + base.name
-        z = base.zero
-        self.eta1 = GrassmannScalar(z, base.one, z, z)
-        self.eta2 = GrassmannScalar(z, z, base.one, z)
-        self.eta12 = GrassmannScalar(z, z, z, base.one)
-
-    def from_int(self, n):
-        return GrassmannScalar.body(self.base.from_int(n))
-
-    def from_rational(self, v):
-        return GrassmannScalar.body(self.base.from_rational(v))
-
-    def __repr__(self):
-        return f"Ring({self.name})"
+def GrassRing(base: Ring) -> Ring:
+    """The ring of Grassmann coefficients over `base`: its lift is the
+    body, and it carries the generators eta1, eta2 and eta1*eta2."""
+    ring = Ring.over(base, GrassmannScalar.body, "grassmann")
+    z, one = base.zero, base.one
+    ring.eta1 = GrassmannScalar(z, one, z, z)
+    ring.eta2 = GrassmannScalar(z, z, one, z)
+    ring.eta12 = GrassmannScalar(z, z, z, one)
+    return ring

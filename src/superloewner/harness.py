@@ -315,11 +315,11 @@ class MartingaleReport:
     config: RunConfig
     cells: list = field(default_factory=list)
     # distinct paths non-finite at any checkpoint, and the non-finite
-    # count at each checkpoint in config order
+    # count at each resolved checkpoint (sorted, duplicates merged)
     dropped_paths: int = 0
     dropped_by_checkpoint: list = field(default_factory=list)
     # wall seconds per stage: simulate_s, operators_s, and observables_s
-    # as a list with one entry per checkpoint in config order
+    # as a list with one entry per resolved checkpoint
     timings: dict = field(default_factory=dict)
     provenance: dict = field(default_factory=dict)
     # the series order each process ("rho" too) was evolved at

@@ -28,7 +28,6 @@ H(-1)F(0)|v>.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .affine import (Module, Vector, act_mode, annihilator_apply, mode,
                      monomial_name, sugawara)
@@ -42,7 +41,7 @@ def _verma(ring, k, lam) -> Module:
 
 def condition_one(x: str, k, lam, kappa, tau, ring=EXACT) -> Vector:
     """Residual of the first condition family for basis symbol x."""
-    k, lam, kappa, tau = (_scal(ring, v) for v in (k, lam, kappa, tau))
+    k, lam, kappa, tau = (ring.coerce(v) for v in (k, lam, kappa, tau))
     module = _verma(ring, k, lam)
     v = Vector.floor_vector(module)
     h_vee = ring.from_rational(H_VEE)
@@ -59,7 +58,7 @@ def condition_one(x: str, k, lam, kappa, tau, ring=EXACT) -> Vector:
 
 def condition_two(x: str, k, lam, kappa, tau, ring=EXACT) -> Vector:
     """Residual (kappa + tau h - 4) X(0)|v>."""
-    k, lam, kappa, tau = (_scal(ring, v) for v in (k, lam, kappa, tau))
+    k, lam, kappa, tau = (ring.coerce(v) for v in (k, lam, kappa, tau))
     module = _verma(ring, k, lam)
     v = Vector.floor_vector(module)
     coeff = kappa + tau * ring.from_rational(H_VEE) - ring.from_int(4)
@@ -68,7 +67,7 @@ def condition_two(x: str, k, lam, kappa, tau, ring=EXACT) -> Vector:
 
 def candidate_psi(k, lam, kappa, tau, ring=EXACT) -> Vector:
     """The degree-2 null-vector candidate Xi(kappa, tau)|v_lambda>."""
-    k, lam, kappa, tau = (_scal(ring, v) for v in (k, lam, kappa, tau))
+    k, lam, kappa, tau = (ring.coerce(v) for v in (k, lam, kappa, tau))
     v = Vector.floor_vector(_verma(ring, k, lam))
     return annihilator_apply(kappa, tau, v, odd=ring.one)
 
@@ -108,12 +107,6 @@ def _terms_json(vec: Vector) -> dict:
         cc = to_complex(c)
         out[monomial_name(mono)] = [cc.real, cc.imag]
     return out
-
-
-def _scal(ring, v):
-    if isinstance(v, (int, str, Fraction)):
-        return ring.from_rational(v)
-    return v
 
 
 def null_conditions(k, lam, kappa, tau, ring=EXACT) -> NullScanReport:

@@ -11,6 +11,8 @@ inverses go through the Galois conjugates x -> x^m, m in {3, 5, 7}.
 Simulation code uses plain Python/numpy complex instead; the series and
 module engines are generic over either backend (they only need ring
 operations), so a `Ring` handle carries the few constants they ask for.
+The Grassmann and Ito-jet rings are `Ring.over` a base ring: their
+constants are the lifts of the base's.
 """
 
 from __future__ import annotations
@@ -212,20 +214,44 @@ def rational(v: RationalLike) -> Cyclo8:
     return Cyclo8(v)
 
 
-class Ring:
-    """Constants a generic-series/module computation needs from its scalars."""
+def to_complex(v) -> complex:
+    return v.to_complex() if isinstance(v, Cyclo8) else complex(v)
 
-    def __init__(self, zero, one, i, sqrt2, from_int, name):
+
+class Ring:
+    """Constants a generic-series/module computation needs from its scalars,
+    and `lift`, which maps an exact value (a `base` element, for a ring
+    built by `Ring.over`) into the ring."""
+
+    def __init__(self, zero, one, i, sqrt2, from_int, name, lift, base=None):
         self.zero = zero
         self.one = one
         self.i = i
         self.sqrt2 = sqrt2
         self.from_int = from_int
         self.name = name
+        self.lift = lift
+        self.base = base
+
+    @classmethod
+    def over(cls, base: "Ring", lift, name: str) -> "Ring":
+        """The ring whose constants are the lifts of `base`'s."""
+        return cls(zero=lift(base.zero), one=lift(base.one), i=lift(base.i),
+                   sqrt2=lift(base.sqrt2),
+                   from_int=lambda n: lift(base.from_int(n)),
+                   name=f"{name}:{base.name}", lift=lift, base=base)
 
     def from_rational(self, v: RationalLike):
+        if self.base is not None:
+            return self.lift(self.base.from_rational(v))
         f = _as_fraction(v)
         return (self.from_int(f.numerator) * self.one) / f.denominator
+
+    def coerce(self, v):
+        """An int, str or Fraction read as an exact rational; else v."""
+        if isinstance(v, (int, str, Fraction)):
+            return self.from_rational(v)
+        return v
 
     def __repr__(self):
         return f"Ring({self.name})"
@@ -233,17 +259,14 @@ class Ring:
 
 EXACT = Ring(
     zero=Cyclo8(0), one=Cyclo8(1), i=Cyclo8.i(), sqrt2=Cyclo8.sqrt2(),
-    from_int=lambda n: Cyclo8(n), name="exact",
+    from_int=lambda n: Cyclo8(n), name="exact", lift=lambda v: v,
 )
 
 COMPLEX = Ring(
     zero=0j, one=1 + 0j, i=1j, sqrt2=2 ** 0.5 + 0j,
     from_int=lambda n: complex(n), name="complex",
+    lift=to_complex,
 )
-
-
-def to_complex(v) -> complex:
-    return v.to_complex() if isinstance(v, Cyclo8) else complex(v)
 
 
 def is_zero(c) -> bool:

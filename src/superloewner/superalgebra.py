@@ -249,8 +249,7 @@ class StructureData:
 
 def structure_constants(k) -> StructureData:
     """Derived constants at an exact level k (a rational or a Cyclo8)."""
-    if not hasattr(k, "is_zero"):
-        k = EXACT.from_rational(k)
+    k = EXACT.coerce(k)
     denom = k + EXACT.from_rational(H_VEE)
     if is_zero(denom):
         raise CriticalLevelError(f"critical level k = {-H_VEE}")

@@ -348,13 +348,13 @@ def test_jet_rings_keep_their_own_caches():
     again = [state_drift(state, k, kap, tau, R, 3) for kap, tau in params[::-1]]
     assert again[::-1] == first
     a, b = (JetRing(R, (kap, tau, tau, tau, tau)) for kap, tau in params)
-    assert Module(a, a.constant(k), 3)._cache is not \
-        Module(b, b.constant(k), 3)._cache
+    assert Module(a, a.lift(k), 3)._cache is not \
+        Module(b, b.lift(k), 3)._cache
 
 
 def test_dropped_jet_ring_frees_its_cache():
     ring = JetRing(R, (rational(2),) * 5)
-    mod = Module(ring, ring.constant(rational("7/9")), 3)
+    mod = Module(ring, ring.lift(rational("7/9")), 3)
     act_word([mode("F", 1), mode("E", -1)], Vector.floor_vector(mod))
     assert mod._cache
     ref = weakref.ref(ring)

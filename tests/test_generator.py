@@ -4,13 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from superloewner.affine import expectation, mode
-from superloewner.evolution import (DRIVERS, FlowState, flow_step,
-                                    initial_state)
-from superloewner.generator import JetRing, jet_state, state_drift
+from superloewner.affine import Module, Vector, act_word, expectation, mode
+from superloewner.evolution import (DRIVERS, FlowState, assemble_state_vector,
+                                    flow_step, initial_state)
+from superloewner.generator import ItoJet, JetRing, jet_state, state_drift
 from superloewner.observables import observable_current
 from superloewner.scalars import EXACT, rational
 from superloewner.series import AutSeries, TailSeries
+from superloewner.superalgebra import SYMBOLS
 
 R = EXACT
 
@@ -20,36 +21,40 @@ def _spec():
                        rational("4/5"), rational("4/5")))
 
 
+def _jet(spec, val, dt, b):
+    return ItoJet(val, dt, b, spec.base, spec.variances)
+
+
 def test_jet_ring_ito_rule():
     spec = _spec()
     zb = R.zero
     # x = s + beta_0: E[x^2] picks up the variance kappa
-    x = spec.coordinate(rational(3), zb, (R.one, zb, zb, zb, zb))
+    x = _jet(spec, rational(3), zb, (R.one, zb, zb, zb, zb))
     sq = x * x
     assert sq.val == rational(9)
     assert sq.dt == rational(2)  # kappa = 2
     assert sq.b[0] == rational(6)
     # independent drivers have zero cross variation
-    y = spec.coordinate(rational(1), zb, (zb, R.one, zb, zb, zb))
+    y = _jet(spec, rational(1), zb, (zb, R.one, zb, zb, zb))
     xy = x * y
     assert xy.dt == R.zero
     # drift adds linearly
-    z = spec.coordinate(rational(1), rational(5), (zb,) * 5)
+    z = _jet(spec, rational(1), rational(5), (zb,) * 5)
     assert (x * z).dt == rational(15)
 
 
 def test_jet_inverse():
     spec = _spec()
     zb = R.zero
-    x = spec.coordinate(rational(2), rational("1/3"),
-                        (rational(1), zb, rational("1/2"), zb, zb))
+    x = _jet(spec, rational(2), rational("1/3"),
+             (rational(1), zb, rational("1/2"), zb, zb))
     assert (x * x.inverse() - spec.one).is_zero()
     assert (x.inverse() * x - spec.one).is_zero()
 
 
 def test_jet_division_by_int():
     spec = _spec()
-    x = spec.coordinate(rational(3), rational(6), (R.one,) * 5)
+    x = _jet(spec, rational(3), rational(6), (R.one,) * 5)
     h = x / 3
     assert h.val == rational(1) and h.dt == rational(2)
 
@@ -163,6 +168,51 @@ def test_derived_drift_vanishes_at_depth_3_on_reachable_states(kq, kapq):
         assert d.is_zero() == (variant == "derived"), variant
 
 
+def _body_drift_on_vacuum(k, kap, tau):
+    """D|0>: the dt part of the jet-assembled vacuum with the seven odd and
+    top processes set to zero, so that only the body moves."""
+    spec, js = jet_state(initial_state(4, R), kap, tau)
+    zero = TailSeries.zero(4, spec)
+    js = dataclasses.replace(js, **{n: zero for n in (
+        "x1e", "x1f", "x2e", "x2f", "x12E", "x12H", "x12F")})
+    jvec = assemble_state_vector(js, Module(spec, spec.lift(k), 4))
+    return Vector(Module(R, k, 4), {m: c.dt for m, c in jvec.terms.items()})
+
+
+# <0|e(1)f(3)| on (H(-2) D|0>, f(-1)e(-1) D|0>), frozen from the jet
+# computation
+_E1F3 = {"1": (rational("-14/5"), rational("-28/5")),
+         "1/2": (rational("-5/4"), rational("-5/2"))}
+
+
+@pytest.mark.parametrize("kq,kapq", [("1", "2"), ("1/2", "8/3")])
+def test_derived_drift_at_depth_4_on_reachable_states(kq, kapq):
+    # on a reached state the drift first appears at depth 4, as
+    # (x12H_2 H(-2) + x1f_1 x2e_1 f(-1)e(-1)) D|0>, and no single-mode
+    # word to depth 4 sees either direction
+    k, kap = rational(kq), rational(kapq)
+    tau = rational(2) / (k + rational("3/2"))
+    dvac = _body_drift_on_vacuum(k, kap, tau)
+    vac = Vector.floor_vector(dvac.module)
+    assert dvac == (act_word([mode("H", -2)], vac).scale(-tau / 4)
+                    + act_word([mode("e", -1), mode("f", -1)],
+                               vac).scale(tau / 2))
+    s = _reached("derived", tau, 0)
+    d = state_drift(s, k, kap, tau, R, 4)
+    assert not d.is_zero()
+    assert not any(_depth(m) <= 3 for m in d.terms)
+    h2 = act_word([mode("H", -2)], dvac)
+    fe = act_word([mode("f", -1), mode("e", -1)], dvac)
+    assert d == (h2.scale(s.x12H.coeffs[1])
+                 + fe.scale(s.x1f.coeffs[0] * s.x2e.coeffs[0]))
+    for v, e1f3 in zip((h2, fe), _E1F3[kq]):
+        for x in SYMBOLS:
+            for n in range(1, 5):
+                assert expectation([mode(x, n)], v).is_zero(), (x, n)
+        # a two-mode word does see it
+        assert expectation([mode("e", 1), mode("f", 3)], v) == e1f3
+
+
 def test_wrong_tau_breaks_the_balance():
     k, kap = rational(1), rational(2)
     d = state_drift(initial_state(3, R), k, kap, rational("1/3"), R, 3)
@@ -192,7 +242,7 @@ def test_current_observable_coefficients_have_zero_drift():
     tau = rational(2) / (k + rational("3/2"))
     s = _rand_state(4, rng)
     spec, js = jet_state(s, kap, tau)
-    o = observable_current(js, spec.constant(k), spec)
+    o = observable_current(js, spec.lift(k), spec)
     for n in range(1, 4):
         jet = o.coeff(-n - 1)
         assert jet.dt.is_zero(), n

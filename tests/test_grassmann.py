@@ -82,8 +82,12 @@ def test_berezin():
 def test_scalar_division_and_errors():
     half = G.eta12 / 2
     assert half + half == G.eta12
+    # a pure-body divisor divides every component by the body
+    assert (G.eta1 + G.one) / G.from_int(2) == G.eta1 / 2 + G.one / 2
     with pytest.raises(TypeError):
         G.one / G.eta12
+    with pytest.raises(TypeError):
+        G.one / (G.one + G.eta1)
 
 
 def test_parity_error_on_mixed():

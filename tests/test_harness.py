@@ -643,10 +643,15 @@ def test_json_echoes_only_the_keys_the_command_reads(command, tmp_path,
 
 def test_config_keys_the_command_does_not_read_are_refused(tmp_path, capsys):
     cfg = tmp_path / "r.cfg"
+    # a value the command's check would refuse still fails as unread
     for command, text, keys in (("martingale-test", "format = json\n",
                                  "['format']"),
+                                ("martingale-test", "format = yaml\n",
+                                 "['format']"),
                                 ("simulate", "word_depth = 1\ndepth = 3\n",
-                                 "['depth', 'word_depth']")):
+                                 "['depth', 'word_depth']"),
+                                ("simulate", "word_depth = 5\n",
+                                 "['word_depth']")):
         cfg.write_text(text)
         assert cli.main(["--config", str(cfg), command]) == 2, command
         err = capsys.readouterr().err
