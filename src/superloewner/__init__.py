@@ -22,7 +22,7 @@ from .affine import (DepthOverflowError, Module, Vector, act_mode, act_word,
 from .nullscan import (candidate_psi, condition_one, condition_two,
                        direct_residuals, null_conditions)
 from .evolution import (FlowState, aut_to_virasoro, assemble_state_vector,
-                        flow_step, initial_state, loewner_step, sde_terms)
+                        flow_step, initial_state, loewner_step)
 from .generator import ItoJet, JetRing, jet_state, state_drift
 from .matrixrep import BatchAssembler, MatrixModule
 from .observables import current_via_module, dual_words, observable_current

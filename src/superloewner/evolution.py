@@ -11,8 +11,9 @@ state.
 scalar), and terms of one process that differ only by their scalar
 share the base object.  `flow_step` sums scalar * increment per
 distinct base (one scalar per path) and adds the base times that sum
-in one pass over its coefficients; `generator.jet_state` multiplies the
-scalar into each coefficient exactly.
+in one pass over its coefficients.  This is the one statement of the
+SDE: the exact drift (`generator.jet_state`) is one `flow_step` over
+the Ito-jet ring, whose Ito rule lives in `ItoJet.__mul__`.
 
 Two odd-sector variants ship:
 
@@ -22,14 +23,15 @@ Two odd-sector variants ship:
       dL1 = P dB,  dL2 = Q dB,
       dL12 = -(tau/2){P,Q} dt - {P,L2} dB.
 
-  The exact Ito-jet generator finds the Berezin-projected state's drift
-  zero through module depth 2 at any state, and through depth 3 on the
-  states the flow reaches from the vacuum: tests/test_generator.py checks
-  the assembled state (`test_derived_variant_is_local_martingale_on_low_depth`,
-  `test_derived_drift_vanishes_at_depth_3_on_reachable_states`) and the
-  current observable (`test_current_observable_coefficients_have_zero_drift`).
-  The depth-3 witness of the strict xfail sets x12H's zeta^{-1}
-  coefficient, which stays exactly zero from the vacuum.
+  The exact Ito-jet generator (tests/test_generator.py) finds the
+  current observable's drift zero at any state, and the Berezin-projected
+  state's through module depth 2 at any state and through depth 3 on the
+  states the flow reaches from the vacuum.  The depth-3 witness of the
+  strict xfail sets x12H's zeta^{-1} coefficient, which stays exactly
+  zero from the vacuum.  On reachable states the drift first appears at
+  depth 4, as (x12H_2 H(-2) + x1f_1 x2e_1 f(-1)e(-1)) D|0> with
+  D|0> = tau (-1/4 H(-2) + 1/2 e(-1)f(-1))|0>; no single-mode word
+  X(n), n <= 4, sees it, and two-mode words such as <0|e(1)f(3)| do.
 * "displayed": an alternative normalization in which every odd-sector
   diffusion is twice the conjugated root generator and the roles of the
   two odd sectors are swapped, while the drifts are scaled by two only;

@@ -16,18 +16,21 @@ is computed *exactly* by evaluating V over the commutative jet ring
 
 at the point s_i + mu_i delta + sum_d sigma_i^d beta_d: for polynomial
 V the Taylor/Ito bookkeeping happens inside the multiplication, and the
-delta component of the result is the drift.  Coordinates and variances
-stay in the exact scalar field, so a zero drift is an algebraic
-identity, not a small number.
+delta component of the result is the drift.  The point is one
+`evolution.flow_step` over the jet ring (dt -> delta, dB_d -> beta_d),
+and the Ito rule is stated once, in `ItoJet.__mul__`.  Coordinates and
+variances stay in the exact scalar field, so a zero drift is an
+algebraic identity, not a small number.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .affine import Module, Vector
-from .evolution import (DRIVERS, FlowState, assemble_state_vector, sde_terms,
-                        PROCESS_NAMES)
-from .scalars import Ring, is_zero
-from .series import AutSeries, TailSeries, series_inv_aut
+from .evolution import (DRIVERS, PROCESS_NAMES, FlowState,
+                        assemble_state_vector, flow_step)
+from .scalars import Ring, is_zero, to_complex
 
 
 class ItoJet:
@@ -88,19 +91,14 @@ class ItoJet:
         return self * self._lift(other).inverse()
 
     def inverse(self):
-        base = self.base
-        inv_v = base.one / self.val
-        # (v + n)^{-1} = v^{-1} - v^{-2} n + v^{-3} n^2 with n nilpotent
-        n_dt, n_b = self.dt, self.b
-        n2_dt = base.zero
-        for var, xb in zip(self.variances, n_b):
-            n2_dt = n2_dt + var * xb * xb
-        iv2 = inv_v * inv_v
-        iv3 = iv2 * inv_v
-        return ItoJet(inv_v,
-                      -iv2 * n_dt + iv3 * n2_dt,
-                      tuple(-iv2 * xb for xb in n_b),
-                      base, self.variances)
+        # self = v (1 + m) with m = (self - v)/v nilpotent, m^3 = 0
+        inv_v = self._lift(self.base.one / self.val)
+        m = (self - self.val) * inv_v
+        return (1 - m + m * m) * inv_v
+
+    def __complex__(self):
+        """The standard part, as `flow_step`'s clock reads it."""
+        return to_complex(self.val)
 
     def is_zero(self) -> bool:
         return (is_zero(self.val) and is_zero(self.dt)
@@ -129,45 +127,26 @@ def JetRing(base: Ring, variances) -> Ring:
 
 
 def jet_state(state: FlowState, kappa, tau, variant: str = "derived"):
-    """Lift an exact FlowState to jet coordinates carrying its own SDE.
-
-    Each series coefficient becomes val + mu*delta + sum sigma_d beta_d
-    with mu, sigma read off `sde_terms` (internal processes) and the
-    Loewner equation (rho).  Returns (jet_ring, FlowState over jets).
-    """
+    """Lift an exact FlowState to jet coordinates carrying its own SDE:
+    one `flow_step` with dt -> delta and dB_d -> beta_d makes each
+    coefficient val + mu*delta + sum sigma_d beta_d.  Returns
+    (jet_ring, FlowState over jets)."""
     ring = state.rho.ring
     variances = (kappa, tau, tau, tau, tau)
     spec = JetRing(ring, variances)
-    u = series_inv_aut(state.rho)
-    terms = sde_terms(state, u, tau, variant=variant)
-    zb = ring.zero
 
-    def jet(val, dt, b):
-        return ItoJet(val, dt, b, ring, variances)
+    def lift(series):
+        return type(series)(map(spec.lift, series.coeffs), spec)
 
-    def lift_tail(name: str) -> TailSeries:
-        spec_terms = terms[name]
+    def unit(slot):     # the jet with one unit slot: 0 is delta, d+1 beta_d
+        e = [ring.one if i == slot else ring.zero for i in range(6)]
+        return ItoJet(ring.zero, e[0], e[1:], ring, variances)
 
-        def coeff(key, j):
-            if key not in spec_terms:
-                return zb
-            base, s = spec_terms[key]
-            return base.coeffs[j] * s
-
-        return TailSeries(
-            [jet(c, coeff("dt", j), [coeff(d, j) for d in DRIVERS])
-             for j, c in enumerate(getattr(state, name).coeffs)], spec)
-
-    # d a_0 = -dB0; d a_{-j} = 2 u_{-j} dt
-    a = state.rho.coeffs
-    jrho = AutSeries([jet(a[0], zb, (-ring.one,) + (zb,) * 4)]
-                     + [jet(aj, ring.from_int(2) * uj, (zb,) * 5)
-                        for aj, uj in zip(a[1:], u.coeffs, strict=True)],
-                     spec)
-    jstate = FlowState(rho=jrho,
-                       **{nm: lift_tail(nm) for nm in PROCESS_NAMES},
-                       t=state.t)
-    return spec, jstate
+    lifted = replace(state, rho=lift(state.rho),
+                     **{nm: lift(getattr(state, nm)) for nm in PROCESS_NAMES})
+    incs = {d: unit(i) for i, d in enumerate(DRIVERS, start=1)}
+    return spec, flow_step(lifted, unit(0), incs, spec.lift(tau),
+                           variant=variant)
 
 
 def state_drift(state: FlowState, k, kappa, tau, ring, nrep: int,

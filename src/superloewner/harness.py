@@ -2,11 +2,11 @@
 
 The Monte Carlo engine evolves all paths at once: every series
 coefficient is a complex numpy array over paths and the generic series
-code broadcasts through it, so the same `sde_terms`/`flow_step`
-formulas serve the exact tests and the batch simulation.  Gaussian
-increments come from one seeded PCG64 stream per run, drawn step by
-step in a fixed order, which makes every subcommand a pure function of
-(config, seed): reruns are byte-identical.
+code broadcasts through it, so the same `flow_step` formulas serve the
+exact tests and the batch simulation.  Gaussian increments come from
+one seeded PCG64 stream per run, drawn step by step in a fixed order,
+which makes every subcommand a pure function of (config, seed): reruns
+are byte-identical.
 
 The martingale test tracks two observable families per checkpoint:
 
@@ -241,13 +241,12 @@ def _finite_mask(state: FlowState) -> np.ndarray:
     return ok
 
 
-def simulate(cfg: RunConfig, increments=None, start=None) -> SimResult:
+def simulate(cfg: RunConfig, start=None) -> SimResult:
     """Evolve cfg.paths coupled processes; record the checkpoint states.
 
-    `increments` optionally supplies a precomputed iterable of per-step
-    driver dicts (used by the dt-halving coupling check); by default a
-    seeded BlockDrivers stream is used.  `start` is the batch state at
-    t = 0, by default the vacuum with every series at cfg.order.
+    The increments are a seeded BlockDrivers stream.  `start` is the
+    batch state at t = 0, by default the vacuum with every series at
+    cfg.order.
     """
     cfg.validate()
     tau = cfg.resolved_tau()
@@ -261,10 +260,9 @@ def simulate(cfg: RunConfig, increments=None, start=None) -> SimResult:
         result.checkpoints.append(
             Checkpoint(0.0, state, np.ones(cfg.paths, dtype=bool)))
     drivers = BlockDrivers(cfg.seed, cfg.paths, cfg.dt, cfg.kappa, tau)
-    inc_iter = iter(increments) if increments is not None else None
     for step in range(1, nsteps + 1):
-        incs = next(inc_iter) if inc_iter is not None else drivers.step()
-        state = flow_step(state, cfg.dt, incs, tau, variant=cfg.variant)
+        state = flow_step(state, cfg.dt, drivers.step(), tau,
+                          variant=cfg.variant)
         if step in cp_steps:
             result.checkpoints.append(
                 Checkpoint(step * cfg.dt, state, _finite_mask(state)))

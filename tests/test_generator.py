@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from superloewner.affine import Module, Vector, act_word, expectation, mode
-from superloewner.evolution import (DRIVERS, FlowState, assemble_state_vector,
+from superloewner.affine import (Module, Vector, act_mode, act_word,
+                                 expectation, mode, sugawara)
+from superloewner.evolution import (DRIVERS, PROCESS_NAMES, VIRASORO,
+                                    FlowState, assemble, assemble_state_vector,
                                     flow_step, initial_state)
 from superloewner.generator import ItoJet, JetRing, jet_state, state_drift
 from superloewner.observables import observable_current
-from superloewner.scalars import EXACT, rational
+from superloewner.scalars import EXACT, is_zero, rational
 from superloewner.series import AutSeries, TailSeries
 from superloewner.superalgebra import SYMBOLS
 
@@ -71,6 +73,16 @@ def _rand_state(order, rng):
     names = ("xE", "xH", "xF", "x1e", "x1f", "x2e", "x2f",
              "x12E", "x12H", "x12F")
     return FlowState(rho=rho, **{n: tail() for n in names}, t=0.0)
+
+
+def _dense_state(order, rng):
+    """Every coefficient a nonzero small rational."""
+    def coeffs(n):
+        return [rational(Fraction(rng.choice((-2, -1, 1, 2)),
+                                  rng.randint(1, 3))) for _ in range(n)]
+    return FlowState(rho=AutSeries(coeffs(order + 1), R),
+                     **{n: TailSeries(coeffs(order), R)
+                        for n in PROCESS_NAMES}, t=0.0)
 
 
 def _depth(mono):
@@ -246,3 +258,78 @@ def test_current_observable_coefficients_have_zero_drift():
     for n in range(1, 4):
         jet = o.coeff(-n - 1)
         assert jet.dt.is_zero(), n
+
+
+# the seven odd and top processes: zero them and only the body
+# B = e^{E x^E} e^{H x^H} e^{F x^F} Q(rho) is left
+_ODD_AND_TOP = ("x1e", "x1f", "x2e", "x2f", "x12E", "x12H", "x12F")
+
+
+def _dict_apply(module):
+    """The dict back end of `assemble_state_vector`."""
+    def apply(pieces, w):
+        acc = Vector(module, {})
+        for (sym, j), c in pieces:
+            if is_zero(c):
+                continue
+            image = (sugawara(-j, w, project=True) if sym == VIRASORO
+                     else act_mode(mode(sym, -j), w, project=True))
+            acc = acc + image.scale(c)
+        return acc
+    return apply
+
+
+def test_drift_is_the_odd_sector_on_the_body_drift_at_any_state():
+    # state_drift(s) = [L12 + L1 L2] B D|0> at depth 3, with
+    # D|0> = tau (-1/4 H(-2) + 1/2 e(-1)f(-1))|0>: assemble from the floor
+    # D|0> and subtract the body alone
+    rng = random.Random(31)
+    cases = [(kq, kapq, _rand_state(3, rng))
+             for kq, kapq in (("1", "2"), ("1/2", "8/3")) for _ in range(3)]
+    cases += [("1", "2", _dense_state(3, rng)) for _ in range(3)]
+    for kq, kapq, s in cases:
+        k, kap = rational(kq), rational(kapq)
+        tau = rational(2) / (k + rational("3/2"))
+        module = Module(R, k, 3)
+        vac = Vector.floor_vector(module)
+        d0 = (act_word([mode("H", -2)], vac).scale(-tau / 4)
+              + act_word([mode("e", -1), mode("f", -1)], vac).scale(tau / 2))
+        apply = _dict_apply(module)
+        zero = TailSeries.zero(3, R)
+        body = dataclasses.replace(s, **dict.fromkeys(_ODD_AND_TOP, zero))
+        want = (assemble(s, apply, d0, 3)
+                - assemble(body, apply, d0, 3))
+        assert state_drift(s, k, kap, tau, R, 3) == want, (kq, kapq)
+
+
+def _series(s):
+    return [s.rho] + [getattr(s, n) for n in PROCESS_NAMES]
+
+
+def _weight_scaled(s, lam):
+    """Coefficient i of every series times lam^(i+1): a tail's
+    zeta^{-j} coefficient has weight j, rho's a_{-j} weight j + 1."""
+    def scaled(series):
+        return type(series)([c * lam ** w for w, c in
+                             enumerate(series.coeffs, start=1)], R)
+    return dataclasses.replace(s, rho=scaled(s.rho), **{
+        n: scaled(getattr(s, n)) for n in PROCESS_NAMES})
+
+
+@pytest.mark.parametrize("order", [3, 4])
+@pytest.mark.parametrize("variant", ["derived", "displayed"])
+def test_weight_grading_of_the_flow(variant, order):
+    # with dB of weight 1 and dt of weight 2, a coefficient of weight w
+    # has a drift of weight w - 2 and diffusions of weight w - 1
+    lam = rational(3)
+    kap, tau = rational(2), rational("4/5")
+    rng = random.Random(order)
+    for s in (_rand_state(order, rng), _dense_state(order, rng)):
+        _, js = jet_state(s, kap, tau, variant=variant)
+        _, jl = jet_state(_weight_scaled(s, lam), kap, tau, variant=variant)
+        for sa, sb in zip(_series(js), _series(jl)):
+            for w, (a, b) in enumerate(zip(sa.coeffs, sb.coeffs), start=1):
+                assert b.val == a.val * lam ** w, w
+                assert b.dt == a.dt * lam ** (w - 2), w
+                assert all(y == x * lam ** (w - 1)
+                           for x, y in zip(a.b, b.b)), w

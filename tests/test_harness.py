@@ -11,7 +11,7 @@ import pytest
 
 import superloewner
 from superloewner import cli, harness
-from superloewner.evolution import flow_step
+from superloewner.evolution import PROCESS_NAMES, flow_step
 from superloewner.harness import (BlockDrivers, ConfigError,
                                   MartingaleCell, MartingaleReport, RunConfig,
                                   martingale_seed_suite, martingale_test,
@@ -358,14 +358,20 @@ def test_dt_halving_weak_consistency():
     coarse = [{k: fine[2 * i][k] + fine[2 * i + 1][k]
                for k in fine[0]} for i in range(20)]
     from superloewner.harness import (BatchAssembler, MatrixModule,
-                                      batch_observables)
+                                      _batch_initial_state, batch_observables)
     cfg_c = dataclasses.replace(cfg_f, dt=1e-3)
-    res_f = simulate(cfg_f, increments=fine)
-    res_c = simulate(cfg_c, increments=coarse)
+
+    def evolve(cfg, increments):
+        state = _batch_initial_state(
+            dict.fromkeys(("rho",) + PROCESS_NAMES, cfg.order), cfg.paths)
+        for incs in increments:
+            state = flow_step(state, cfg.dt, incs, tau, variant=cfg.variant)
+        return state
+
     mm = MatrixModule(1, 4)
     ba = BatchAssembler(mm, 4)
-    obs_f = batch_observables(res_f.checkpoints[-1].state, cfg_f, ba)
-    obs_c = batch_observables(res_c.checkpoints[-1].state, cfg_c, ba)
+    obs_f = batch_observables(evolve(cfg_f, fine), cfg_f, ba)
+    obs_c = batch_observables(evolve(cfg_c, coarse), cfg_c, ba)
     for name in obs_f:
         mf, mc = obs_f[name].mean(), obs_c[name].mean()
         se = obs_f[name].std() / np.sqrt(cfg_f.paths)

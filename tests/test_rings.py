@@ -37,22 +37,38 @@ _COEFFICIENT_MODULES = {"grassmann", "generator"}
 _COEFFICIENT_TYPES = {"Cyclo8", "GrassmannScalar", "ItoJet"}
 
 
+def _names(path):
+    """(line, modules, names) of every import, name and attribute."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield node.lineno, {a.name.rsplit(".", 1)[-1]
+                                for a in node.names}, set()
+        elif isinstance(node, ast.ImportFrom):
+            yield node.lineno, {(node.module or "").rsplit(".", 1)[-1]}, \
+                {a.name for a in node.names}
+        elif isinstance(node, ast.Name):
+            yield node.lineno, set(), {node.id}
+        elif isinstance(node, ast.Attribute):
+            yield node.lineno, set(), {node.attr}
+
+
 @pytest.mark.parametrize("name", _GENERIC)
 def test_generic_engines_know_no_coefficient_type(name):
     path = Path(superloewner.__file__).with_name(f"{name}.py")
-    for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.Import):
-            modules = {a.name.rsplit(".", 1)[-1] for a in node.names}
-            names = set()
-        elif isinstance(node, ast.ImportFrom):
-            modules = {(node.module or "").rsplit(".", 1)[-1]}
-            names = {a.name for a in node.names}
-        elif isinstance(node, ast.Name):
-            modules, names = set(), {node.id}
-        elif isinstance(node, ast.Attribute):
-            modules, names = set(), {node.attr}
-        else:
+    for line, modules, names in _names(path):
+        assert not (modules | names) & _COEFFICIENT_MODULES, (name, line)
+        assert not names & _COEFFICIENT_TYPES, (name, line)
+
+
+# the SDE and its Euler step, which every other module reaches through
+# `flow_step` (the exact generator runs it over the jet ring)
+_FLOW_INTERNALS = {"sde_terms", "_stepped", "_loewner_euler"}
+
+
+def test_only_evolution_states_the_sde():
+    package = Path(superloewner.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "evolution":
             continue
-        assert not (modules | names) & _COEFFICIENT_MODULES, \
-            (name, node.lineno)
-        assert not names & _COEFFICIENT_TYPES, (name, node.lineno)
+        for line, _, names in _names(path):
+            assert not names & _FLOW_INTERNALS, (path.stem, line)
