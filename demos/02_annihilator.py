@@ -23,7 +23,7 @@ G = GrassRing(EXACT)
 
 
 def residual(k, kappa, tau):
-    module = Module(G, G.from_rational(k), 4)
+    module = Module(G, EXACT.from_rational(k), 4)
     v0 = Vector.floor_vector(module)
     v = v0 + v0.scale(G.eta12)
     out = annihilator_apply(G.from_rational(kappa), G.from_rational(tau), v)

@@ -18,10 +18,10 @@ Mode reordering uses the affine super bracket
 
     [X(m), Y(n)] = [X,Y](m+n) + m (X|Y) delta_{m+n,0} K,    K = k,
 
-with the anticommutator convention on odd pairs.  The Sugawara modes
-L_n and the annihilating operator Xi both sum the Casimir table
-`superalgebra.CASIMIR`.  Everything is generic over the coefficient ring
-(exact, complex, Grassmann-valued, Ito jets).
+with the anticommutator convention on odd pairs.  The Sugawara image
+of a monomial and the annihilating operator Xi both sum the Casimir
+table `superalgebra.CASIMIR`.  Everything is generic over the
+coefficient ring (exact, complex, Grassmann-valued, Ito jets).
 """
 
 from __future__ import annotations
@@ -57,9 +57,10 @@ def _depth(mono: tuple) -> int:
 class Module:
     """Level-k module over a coefficient ring with a chosen floor.
 
-    `_act` reads only (ring, k, floor, weight), not `nrep`, so its cache
-    lives on the ring handle keyed by (k, floor, weight): modules equal
-    in those share it, and it is freed with the ring.
+    The images of a monomial under `_act` and `_sugawara` read only
+    (k, floor, weight), not `nrep` or the ring, so their one table lives
+    on `ring.root`, keyed by those, in root scalars: k and the weight are
+    root scalars too, and ring coefficients multiply the table's.
     """
 
     def __init__(self, ring, k, nrep: int, floor="vacuum", weight=None):
@@ -70,13 +71,13 @@ class Module:
         self.weight = weight  # H(0) eigenvalue for the verma floor
         if floor == "verma" and weight is None:
             raise ValueError("verma floor needs a weight")
-        caches = vars(ring).setdefault("_act_caches", {})
+        self._root = ring.root
+        caches = vars(self._root).setdefault("_module_tables", {})
         self._cache: dict = caches.setdefault((k, floor, weight), {})
-        self._prefactor = None
 
     # -- raw mode action on a single canonical monomial -----------------
     def _floor(self, sym: int, n: int) -> dict:
-        one = self.ring.one
+        one = self._root.one
         if n > 0:
             return {}
         if n < 0:
@@ -95,7 +96,7 @@ class Module:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        ring = self.ring
+        ring = self._root
         if not mono:
             res = self._floor(sym, n)
             self._cache[key] = res
@@ -141,14 +142,34 @@ class Module:
     # -- derived constants ----------------------------------------------
     def sugawara_prefactor(self):
         """1/(2(k + h_vee)); the critical level k = -h_vee raises."""
-        if self._prefactor is None:
-            ring = self.ring
-            denom = self.k * ring.from_int(2) + ring.from_rational(2 * H_VEE)
-            if is_zero(denom):
-                raise CriticalLevelError(
-                    f"Sugawara undefined at k = {-H_VEE}")
-            self._prefactor = ring.one / denom
-        return self._prefactor
+        ring = self._root
+        denom = self.k * ring.from_int(2) + ring.from_rational(2 * H_VEE)
+        if is_zero(denom):
+            raise CriticalLevelError(f"Sugawara undefined at k = {-H_VEE}")
+        return ring.one / denom
+
+    def _sugawara(self, n: int, mono: tuple) -> dict:
+        """L_n on one monomial, summed once from the normal-ordered
+        CASIMIR table; every term has depth _depth(mono) - n."""
+        key = ("L", n, mono)
+        if key not in self._cache:
+            root, d = self._root, _depth(mono)
+            # :X(n-j) Y(j): acts with its higher mode first, which kills
+            # unless it is at most d; no intermediate is deeper than `deep`
+            deep = Module(root, self.k, d - min(n, 0), self.floor, self.weight)
+            v = Vector(deep, {mono: root.one})
+            weights = [root.from_int(num) / den for num, den, _, _ in CASIMIR]
+            acc: dict = {}
+            for j in range(n - d, d + 1):
+                for w, (_, _, sa, sb) in zip(weights, CASIMIR):
+                    term = normal_order_product(mode(sa, n - j),
+                                                mode(sb, j), v)
+                    for m2, c in term.terms.items():
+                        _acc(acc, m2, c * w)
+            p = self.sugawara_prefactor()
+            self._cache[key] = {m: c * p for m, c in acc.items()
+                                if not is_zero(c)}
+        return self._cache[key]
 
 
 def _acc(d: dict, key, val):
@@ -208,6 +229,24 @@ class Vector:
                           for m, c in sorted(self.terms.items()))
 
 
+def _apply_images(v: Vector, n: int, images, project: bool,
+                  name: str) -> Vector:
+    """Sum of c * images(mono) over the terms of v, where images(mono)
+    has depth _depth(mono) - n.  Past the module bound a nonzero image
+    raises DepthOverflowError, or is dropped when project=True."""
+    module = v.module
+    out: dict = {}
+    for mono, c in v.terms.items():
+        deep = _depth(mono) - n > module.nrep
+        image = {} if deep and project else images(mono)
+        if deep and image:
+            raise DepthOverflowError(f"{name} on depth-{_depth(mono)} "
+                                     f"monomial exceeds N_rep={module.nrep}")
+        for m2, c2 in image.items():
+            _acc(out, m2, c * c2)
+    return Vector(module, out)
+
+
 def act_mode(m: tuple, v: Vector, project: bool = False) -> Vector:
     """Apply the mode X(n) to v, canonicalizing the result.
 
@@ -215,22 +254,9 @@ def act_mode(m: tuple, v: Vector, project: bool = False) -> Vector:
     are dropped when project=True (the truncation semantics used by the
     state-assembly exponentials).
     """
-    module = v.module
     sym, n = m
-    out: dict = {}
-    for mono, c in v.terms.items():
-        if n < 0 and _depth(mono) - n > module.nrep and not project:
-            raise DepthOverflowError(
-                f"{mode_name(m)} on depth-{_depth(mono)} monomial exceeds "
-                f"N_rep={module.nrep}")
-        for m2, c2 in module._act(sym, n, mono).items():
-            if _depth(m2) > module.nrep:
-                if project:
-                    continue
-                raise DepthOverflowError(
-                    f"result depth {_depth(m2)} exceeds N_rep={module.nrep}")
-            _acc(out, m2, c * c2)
-    return Vector(module, out)
+    return _apply_images(v, n, lambda mono: v.module._act(sym, n, mono),
+                         project, mode_name(m))
 
 
 def act_word(word, v: Vector, project: bool = False) -> Vector:
@@ -255,20 +281,11 @@ def normal_order_product(m1: tuple, m2: tuple, v: Vector,
 
 
 def sugawara(n: int, v: Vector, project: bool = False) -> Vector:
-    """Virasoro mode L_n from the osp(1|2) Sugawara construction."""
-    module = v.module
-    ring = module.ring
-    prefactor = module.sugawara_prefactor()
-    span = module.nrep + abs(n) + 2
-    acc = Vector(module, {})
-    for j in range(-span, span + 1):
-        for num, den, sa, sb in CASIMIR:
-            term = normal_order_product(mode(sa, n - j), mode(sb, j), v,
-                                        project=project)
-            if term.is_zero():
-                continue
-            acc = acc + term.scale(ring.from_int(num) / den)
-    return acc.scale(prefactor)
+    """Virasoro mode L_n from the osp(1|2) Sugawara construction, read
+    per monomial from the module's table; a zero image past the depth
+    bound (L_{-1}|0>) raises nothing."""
+    return _apply_images(v, n, lambda mono: v.module._sugawara(n, mono),
+                         project, f"L_{n}")
 
 
 def annihilator_apply(kappa, tau, v: Vector, odd=None) -> Vector:

@@ -115,7 +115,7 @@ def cmd_verify_annihilator(args) -> int:
     for k in ks:
         for kap in kappas:
             tau = structure_constants(k).tau_default
-            module = Module(G, G.from_rational(k), 4)
+            module = Module(G, EXACT.from_rational(k), 4)
             v0 = Vector.floor_vector(module)
             v = v0 + v0.scale(G.eta12)
             out = annihilator_apply(G.from_rational(kap), G.lift(tau), v)

@@ -18,9 +18,11 @@ at the point s_i + mu_i delta + sum_d sigma_i^d beta_d: for polynomial
 V the Taylor/Ito bookkeeping happens inside the multiplication, and the
 delta component of the result is the drift.  The point is one
 `evolution.flow_step` over the jet ring (dt -> delta, dB_d -> beta_d),
-and the Ito rule is stated once, in `ItoJet.__mul__`.  Coordinates and
-variances stay in the exact scalar field, so a zero drift is an
-algebraic identity, not a small number.
+and the Ito rule is stated once, in `ItoJet.__mul__`.  The jet module
+reads the mode and Sugawara tables of the base ring, built once per
+level, and a jet times one of their scalars scales each slot.
+Coordinates and variances stay in the exact scalar field, so a zero
+drift is an algebraic identity, not a small number.
 """
 
 from __future__ import annotations
@@ -70,8 +72,12 @@ class ItoJet:
     def __rsub__(self, other):
         return self._lift(other) + (-self)
 
-    def __mul__(self, other):
-        o = self._lift(other)
+    def __mul__(self, o):
+        if not (isinstance(o, ItoJet) and o.base is self.base):
+            o = self.base.coerce(o)  # a base scalar: scale each slot
+            return ItoJet(self.val * o, self.dt * o,
+                          tuple(x * o for x in self.b), self.base,
+                          self.variances)
         ito = self.base.zero
         for var, xb, yb in zip(self.variances, self.b, o.b):
             ito = ito + var * xb * yb
@@ -92,7 +98,7 @@ class ItoJet:
 
     def inverse(self):
         # self = v (1 + m) with m = (self - v)/v nilpotent, m^3 = 0
-        inv_v = self._lift(self.base.one / self.val)
+        inv_v = self.base.one / self.val
         m = (self - self.val) * inv_v
         return (1 - m + m * m) * inv_v
 
@@ -153,11 +159,11 @@ def state_drift(state: FlowState, k, kappa, tau, ring, nrep: int,
                 variant: str = "derived") -> Vector:
     """Exact drift vector (d/dt)E[assembled state] at the given state.
 
-    The returned Vector lives in a module over the base ring; each
-    component is the delta part of the jet-assembled state.
+    The returned Vector lives in a module over `ring`, with k in its root;
+    each component is the delta part of the jet-assembled state.
     """
     spec, jstate = jet_state(state, kappa, tau, variant=variant)
-    jmod = Module(spec, spec.lift(k), nrep)
+    jmod = Module(spec, k, nrep)
     jvec = assemble_state_vector(jstate, jmod)
     base_mod = Module(ring, k, nrep)
     return Vector(base_mod, {m: c.dt for m, c in jvec.terms.items()})

@@ -4,8 +4,9 @@ The depth-truncated vacuum module is finite dimensional (24 states at
 depth bound 2, 228 at 4), and each assembly operator has 1 to 9 nonzero
 entries at depth 2.  `MatrixModule` enumerates the canonical PBW basis once
 and keeps, for each X(-j) and L_{-j}, an entry table: the operator's
-nonzero entries, computed with the exact dict engine, cast to complex and
-grouped by row.  `BatchAssembler` then runs the one assembly formula,
+nonzero entries, read by `act_mode`/`sugawara` from the exact module's
+tables of per-monomial images, cast to complex and grouped by row.
+`BatchAssembler` then runs the one assembly formula,
 `evolution.assemble`, on a (dim, paths) coefficient block; its `apply`
 back end adds, row by row, the block's entry columns times the per-path
 coefficients, and skips a piece whose coefficient is absent under the

@@ -36,14 +36,15 @@ from .superalgebra import CASIMIR, H_VEE, SYMBOLS, bracket_symbols
 
 
 def _verma(ring, k, lam) -> Module:
-    return Module(ring, k, 3, floor="verma", weight=lam)
+    root = ring.root  # the module's k and weight are root scalars
+    return Module(ring, root.coerce(k), 3, floor="verma",
+                  weight=root.coerce(lam))
 
 
 def condition_one(x: str, k, lam, kappa, tau, ring=EXACT) -> Vector:
     """Residual of the first condition family for basis symbol x."""
-    k, lam, kappa, tau = (ring.coerce(v) for v in (k, lam, kappa, tau))
-    module = _verma(ring, k, lam)
-    v = Vector.floor_vector(module)
+    v = Vector.floor_vector(_verma(ring, k, lam))
+    k, kappa, tau = (ring.coerce(p) for p in (k, kappa, tau))
     h_vee = ring.from_rational(H_VEE)
     res = act_mode(mode(x, -1), v).scale(tau * k - tau * h_vee
                                          - ring.from_int(2))
@@ -58,17 +59,16 @@ def condition_one(x: str, k, lam, kappa, tau, ring=EXACT) -> Vector:
 
 def condition_two(x: str, k, lam, kappa, tau, ring=EXACT) -> Vector:
     """Residual (kappa + tau h - 4) X(0)|v>."""
-    k, lam, kappa, tau = (ring.coerce(v) for v in (k, lam, kappa, tau))
-    module = _verma(ring, k, lam)
-    v = Vector.floor_vector(module)
+    v = Vector.floor_vector(_verma(ring, k, lam))
+    kappa, tau = (ring.coerce(p) for p in (kappa, tau))
     coeff = kappa + tau * ring.from_rational(H_VEE) - ring.from_int(4)
     return act_mode(mode(x, 0), v).scale(coeff)
 
 
 def candidate_psi(k, lam, kappa, tau, ring=EXACT) -> Vector:
     """The degree-2 null-vector candidate Xi(kappa, tau)|v_lambda>."""
-    k, lam, kappa, tau = (ring.coerce(v) for v in (k, lam, kappa, tau))
     v = Vector.floor_vector(_verma(ring, k, lam))
+    kappa, tau = (ring.coerce(p) for p in (kappa, tau))
     return annihilator_apply(kappa, tau, v, odd=ring.one)
 
 

@@ -241,6 +241,11 @@ class Ring:
                    from_int=lambda n: lift(base.from_int(n)),
                    name=f"{name}:{base.name}", lift=lift, base=base)
 
+    @property
+    def root(self) -> "Ring":
+        """The ring at the bottom of the chain of `Ring.over` bases."""
+        return self if self.base is None else self.base.root
+
     def from_rational(self, v: RationalLike):
         if self.base is not None:
             return self.lift(self.base.from_rational(v))

@@ -56,7 +56,7 @@ def test_criterion_1_annihilator_identity():
             tau = GrassmannScalar.body(
                 rational(2) * (k + rational("3/2")).inverse())
             kappa = G.from_rational(kapq)
-            module = Module(G, GrassmannScalar.body(k), 4)
+            module = Module(G, k, 4)
             v0 = Vector.floor_vector(module)
             v = v0 + v0.scale(G.eta12)
             out = annihilator_apply(kappa, tau, v)

@@ -13,10 +13,11 @@ from superloewner.affine import (DepthOverflowError, Module, Vector, act_mode,
 from superloewner.evolution import PROCESS_NAMES, FlowState
 from superloewner.generator import JetRing, state_drift
 from superloewner.grassmann import GrassRing, berezin
+from superloewner.matrixrep import _basis_monomials
 from superloewner.scalars import EXACT, rational
 from superloewner.series import AutSeries, TailSeries
-from superloewner.superalgebra import (CriticalLevelError, PARITY, SYMBOLS,
-                                       bracket_symbols, form_symbols)
+from superloewner.superalgebra import (CASIMIR, CriticalLevelError, PARITY,
+                                       SYMBOLS, bracket_symbols, form_symbols)
 
 R = EXACT
 
@@ -177,8 +178,7 @@ def test_sugawara_critical_level():
 
 def _grass_module(kq, nrep=4):
     G = GrassRing(EXACT)
-    from superloewner.grassmann import GrassmannScalar
-    return Module(G, GrassmannScalar.body(rational(kq)), nrep), G
+    return Module(G, rational(kq), nrep), G
 
 
 def test_annihilator_exact_zero_at_default_tau():
@@ -340,24 +340,94 @@ def _drift_state(order):
                         for n in PROCESS_NAMES}, t=0.0)
 
 
-def test_jet_rings_keep_their_own_caches():
+def test_rings_over_one_root_share_its_table():
     k, state = rational(1), _drift_state(3)
     params = [(rational(2), rational("4/5")), (rational(3), rational("1/2"))]
     first = [state_drift(state, k, kap, tau, R, 3) for kap, tau in params]
     assert first[0] != first[1]
     again = [state_drift(state, k, kap, tau, R, 3) for kap, tau in params[::-1]]
     assert again[::-1] == first
+    # modules over jet, Grassmann and nested jet rings of one root and one
+    # k read one table, which holds root scalars
     a, b = (JetRing(R, (kap, tau, tau, tau, tau)) for kap, tau in params)
-    assert Module(a, a.lift(k), 3)._cache is not \
-        Module(b, b.lift(k), 3)._cache
+    nested = JetRing(a, tuple(map(a.lift, a.variances)))
+    k = rational("4/13")
+    rings = (R, a, b, GrassRing(R), nested)
+    mods = [Module(ring, k, 3) for ring in rings]
+    assert len({id(m._cache) for m in mods}) == 1
+    want = sugawara(-2, act_mode(mode("e", -1), vac(mods[0])))
+    for ring, mod in zip(rings, mods):
+        got = sugawara(-2, act_mode(mode("e", -1), vac(mod)))
+        lift = ring.lift if ring.base is not nested.base else \
+            (lambda c: nested.lift(a.lift(c)))
+        assert got.terms == {m: lift(c) for m, c in want.terms.items()}
+    table = mods[0]._cache
+    assert ("L", -2, (mode("e", -1),)) in table
+    assert all(type(c) is type(R.one)
+               for image in table.values() for c in image.values())
 
 
-def test_dropped_jet_ring_frees_its_cache():
+def test_dropped_jet_ring_is_collected():
     ring = JetRing(R, (rational(2),) * 5)
-    mod = Module(ring, ring.lift(rational("7/9")), 3)
+    mod = Module(ring, rational("7/9"), 3)
     act_word([mode("F", 1), mode("E", -1)], Vector.floor_vector(mod))
-    assert mod._cache
+    assert mod._cache is Module(R, rational("7/9"), 3)._cache
     ref = weakref.ref(ring)
     del ring, mod
     gc.collect()
     assert ref() is None
+
+
+def _casimir_sum(n, v, project=False):
+    """L_n on v as the normal-ordered CASIMIR sum over the whole vector,
+    prefactor 1/(2(k + 3/2))."""
+    module = v.module
+    span = module.nrep + abs(n) + 2
+    acc = Vector(module, {})
+    for j in range(-span, span + 1):
+        for num, den, sa, sb in CASIMIR:
+            term = normal_order_product(mode(sa, n - j), mode(sb, j), v,
+                                        project=project)
+            acc = acc + term.scale(R.from_int(num) / den)
+    return acc.scale((module.k * 2 + R.from_int(3)).inverse())
+
+
+def test_sugawara_image_does_not_depend_on_fill_order():
+    # one table serves every depth bound: fill it through one module, read
+    # it through another; fresh levels, so no other test filled them
+    for kq, (fill, read) in (("5/7", (2, 4)), ("6/11", (4, 2))):
+        filler, reader = module(kq, fill), module(kq, read)
+        assert filler._cache is reader._cache
+        monos = _basis_monomials(2)
+        for n in range(-2, 3):
+            for mono in monos:
+                filler._sugawara(n, mono)
+        for n in range(-2, 3):
+            for mono in monos:
+                v = Vector(reader, {mono: R.one})
+                assert ("L", n, mono) in reader._cache
+                assert sugawara(n, v, project=True) == \
+                    _casimir_sum(n, v, project=True), (kq, n, mono)
+
+
+def _outcome(route, n, v):
+    try:
+        return route(n, v)
+    except DepthOverflowError:
+        return "raises"
+
+
+def test_sugawara_raises_where_the_casimir_sum_does():
+    k = "3/5"
+    for nrep in (0, 1, 2):
+        vectors = [Vector(module(k, nrep), {mono: R.one})
+                   for mono in _basis_monomials(nrep)]
+        verma = Vector.floor_vector(module(k, nrep, floor="verma",
+                                           weight=rational(2)))
+        vectors += [verma, act_mode(mode("f", 0), verma)]
+        for v in vectors:
+            for n in range(-3, 3):
+                want = _outcome(_casimir_sum, n, v)
+                assert _outcome(sugawara, n, v) == want, (nrep, v, n)
+    # a zero image raises nothing, even past the bound
+    assert sugawara(-1, vac(module(k, 0))).is_zero()

@@ -54,6 +54,17 @@ def test_jet_inverse():
     assert (x.inverse() * x - spec.one).is_zero()
 
 
+def test_jet_times_a_base_scalar_scales_each_slot():
+    spec = _spec()
+    x = _jet(spec, rational(2), rational("1/3"),
+             (rational(1), R.zero, rational("-1/2"), R.i, R.zero))
+    c = rational("3/7") + R.sqrt2
+    for got in (x * c, c * x):
+        assert got == x * spec.lift(c)
+        assert (got.val, got.dt, got.b) == (x.val * c, x.dt * c,
+                                            tuple(b * c for b in x.b))
+
+
 def test_jet_division_by_int():
     spec = _spec()
     x = _jet(spec, rational(3), rational(6), (R.one,) * 5)
@@ -187,7 +198,7 @@ def _body_drift_on_vacuum(k, kap, tau):
     zero = TailSeries.zero(4, spec)
     js = dataclasses.replace(js, **{n: zero for n in (
         "x1e", "x1f", "x2e", "x2f", "x12E", "x12H", "x12F")})
-    jvec = assemble_state_vector(js, Module(spec, spec.lift(k), 4))
+    jvec = assemble_state_vector(js, Module(spec, k, 4))
     return Vector(Module(R, k, 4), {m: c.dt for m, c in jvec.terms.items()})
 
 
@@ -223,6 +234,31 @@ def test_derived_drift_at_depth_4_on_reachable_states(kq, kapq):
                 assert expectation([mode(x, n)], v).is_zero(), (x, n)
         # a two-mode word does see it
         assert expectation([mode("e", 1), mode("f", 3)], v) == e1f3
+
+
+def test_nested_jets_give_the_second_generator_at_the_vacuum():
+    # jet_state over a jet ring: the outer jets carry the state's own SDE,
+    # so state_drift returns Lf as outer jets whose dt part is L(Lf)
+    k, kap, tau = rational(1), rational(2), rational("4/5")
+    outer, js = jet_state(initial_state(4, R), kap, tau)
+    d = state_drift(js, k, outer.lift(kap), outer.lift(tau), outer, 4)
+    assert all(c.val.is_zero() for c in d.terms.values())
+    l2 = Vector(Module(R, k, 4), {m: c.dt for m, c in d.terms.items()})
+    vac = Vector.floor_vector(l2.module)
+
+    def word(*modes):
+        return act_word([mode(x, n) for x, n in modes], vac)
+    assert l2 == (word(("E", -2), ("F", -2)).scale(rational("-4/25"))
+                  + word(("H", -4)).scale(rational("2/25"))
+                  - word(("H", -2), ("H", -2)).scale(rational("1/25"))
+                  + word(("e", -3), ("f", -1)).scale(rational("2/25"))
+                  - word(("f", -3), ("e", -1)).scale(rational("2/25")))
+
+    def d_op(v):
+        return (act_word([mode("H", -2)], v).scale(rational("-1/4"))
+                + act_word([mode("e", -1), mode("f", -1)], v).scale(
+                    rational("1/2")))
+    assert l2 == d_op(d_op(vac)).scale(-tau * tau)
 
 
 def test_wrong_tau_breaks_the_balance():

@@ -27,8 +27,8 @@ def test_ring_protocol(ring):
     for kq in ("1", "1/2"):
         k = EXACT.from_rational(kq)
         want = Module(EXACT, k, 2).sugawara_prefactor()
-        got = Module(ring, ring.lift(k), 2).sugawara_prefactor()
-        assert got == ring.lift(want), kq
+        got = Module(ring, ring.root.lift(k), 2).sugawara_prefactor()
+        assert got == ring.root.lift(want), kq
 
 
 # the engines that run over every ring
