@@ -17,8 +17,7 @@ from .series import (AutSeries, ExpSeries, SeriesOrderError, TailSeries,
                      aut_compose, series_derive, series_exp, series_inv_aut,
                      series_mul, substitute)
 from .affine import (DepthOverflowError, Module, Vector, act_mode, act_word,
-                     annihilator_apply, conformal_weight, expectation, mode,
-                     normal_order_product, sugawara)
+                     annihilator_apply, expectation, mode, sugawara)
 from .nullscan import (candidate_psi, condition_one, condition_two,
                        direct_residuals, null_conditions)
 from .evolution import (FlowState, aut_to_virasoro, assemble_state_vector,

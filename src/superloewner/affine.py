@@ -26,12 +26,13 @@ coefficient ring (exact, complex, Grassmann-valued, Ito jets).
 
 from __future__ import annotations
 
-from .scalars import EXACT, is_zero
+from .scalars import is_zero
 from .superalgebra import (CASIMIR, CriticalLevelError, H_VEE, PARITY,
                            SYMBOLS, bracket_symbols, form_symbols)
 
 _PAR = tuple(PARITY[s] for s in SYMBOLS)
 _SYM = {s: i for i, s in enumerate(SYMBOLS)}
+VIRASORO = "L"  # the operator (VIRASORO, n) is L_n
 
 
 class DepthOverflowError(ValueError):
@@ -151,7 +152,7 @@ class Module:
     def _sugawara(self, n: int, mono: tuple) -> dict:
         """L_n on one monomial, summed once from the normal-ordered
         CASIMIR table; every term has depth _depth(mono) - n."""
-        key = ("L", n, mono)
+        key = (VIRASORO, n, mono)
         if key not in self._cache:
             root, d = self._root, _depth(mono)
             # :X(n-j) Y(j): acts with its higher mode first, which kills
@@ -162,8 +163,8 @@ class Module:
             acc: dict = {}
             for j in range(n - d, d + 1):
                 for w, (_, _, sa, sb) in zip(weights, CASIMIR):
-                    term = normal_order_product(mode(sa, n - j),
-                                                mode(sb, j), v)
+                    term = _normal_order_product(mode(sa, n - j),
+                                                 mode(sb, j), v)
                     for m2, c in term.terms.items():
                         _acc(acc, m2, c * w)
             p = self.sugawara_prefactor()
@@ -229,34 +230,42 @@ class Vector:
                           for m, c in sorted(self.terms.items()))
 
 
-def _apply_images(v: Vector, n: int, images, project: bool,
-                  name: str) -> Vector:
-    """Sum of c * images(mono) over the terms of v, where images(mono)
-    has depth _depth(mono) - n.  Past the module bound a nonzero image
-    raises DepthOverflowError, or is dropped when project=True."""
+def act_sum(v: Vector, pieces, project: bool = False) -> Vector:
+    """Sum of c * op(v) over the pieces (op, c), in one accumulator.
+
+    op is a mode (symbol index, n) or (VIRASORO, n) for L_n, read per
+    monomial from the module's table; c is a ring coefficient, or None
+    for 1, and a zero c is skipped.  An image of a depth-d monomial has
+    depth d - n: past the module bound a nonzero one raises
+    DepthOverflowError, or is dropped when project=True (the truncation
+    of the state-assembly exponentials).
+    """
     module = v.module
+    live = [(op, c) for op, c in pieces if c is None or not is_zero(c)]
     out: dict = {}
     for mono, c in v.terms.items():
-        deep = _depth(mono) - n > module.nrep
-        image = {} if deep and project else images(mono)
-        if deep and image:
-            raise DepthOverflowError(f"{name} on depth-{_depth(mono)} "
-                                     f"monomial exceeds N_rep={module.nrep}")
-        for m2, c2 in image.items():
-            _acc(out, m2, c * c2)
+        d = _depth(mono)
+        for (sym, n), s in live:
+            deep = d - n > module.nrep
+            if deep and project:
+                continue
+            image = (module._sugawara(n, mono) if sym == VIRASORO
+                     else module._act(sym, n, mono))
+            if deep and image:
+                name = f"L_{n}" if sym == VIRASORO else mode_name((sym, n))
+                raise DepthOverflowError(f"{name} on depth-{d} monomial "
+                                         f"exceeds N_rep={module.nrep}")
+            cs = c if s is None else c * s
+            for m2, c2 in image.items():
+                _acc(out, m2, cs * c2)
     return Vector(module, out)
 
 
 def act_mode(m: tuple, v: Vector, project: bool = False) -> Vector:
-    """Apply the mode X(n) to v, canonicalizing the result.
-
-    Monomials deeper than the module bound raise DepthOverflowError, or
-    are dropped when project=True (the truncation semantics used by the
-    state-assembly exponentials).
-    """
-    sym, n = m
-    return _apply_images(v, n, lambda mono: v.module._act(sym, n, mono),
-                         project, mode_name(m))
+    """Apply the mode X(n) to v, canonicalizing the result: `act_sum`
+    with the one piece (m, 1), the engine that applies all of an
+    assembly step's pieces in one accumulator."""
+    return act_sum(v, [(m, None)], project)
 
 
 def act_word(word, v: Vector, project: bool = False) -> Vector:
@@ -268,8 +277,8 @@ def act_word(word, v: Vector, project: bool = False) -> Vector:
     return v
 
 
-def normal_order_product(m1: tuple, m2: tuple, v: Vector,
-                         project: bool = False) -> Vector:
+def _normal_order_product(m1: tuple, m2: tuple, v: Vector,
+                          project: bool = False) -> Vector:
     """Apply :X(p)Y(q): to v (reorder per the p <= q rule, then act)."""
     (s1, p), (s2, q) = m1, m2
     if p <= q:
@@ -281,11 +290,11 @@ def normal_order_product(m1: tuple, m2: tuple, v: Vector,
 
 
 def sugawara(n: int, v: Vector, project: bool = False) -> Vector:
-    """Virasoro mode L_n from the osp(1|2) Sugawara construction, read
-    per monomial from the module's table; a zero image past the depth
-    bound (L_{-1}|0>) raises nothing."""
-    return _apply_images(v, n, lambda mono: v.module._sugawara(n, mono),
-                         project, f"L_{n}")
+    """Virasoro mode L_n from the osp(1|2) Sugawara construction:
+    `act_sum`, which applies all of an assembly step's pieces in one
+    accumulator, with the one piece ((VIRASORO, n), 1); a zero image
+    past the depth bound (L_{-1}|0>) raises nothing."""
+    return act_sum(v, [((VIRASORO, n), None)], project)
 
 
 def annihilator_apply(kappa, tau, v: Vector, odd=None) -> Vector:
@@ -321,13 +330,3 @@ def annihilator_apply(kappa, tau, v: Vector, odd=None) -> Vector:
 def expectation(word, v: Vector):
     """<0| m_1 ... m_r |v>: act the word (rightmost first), read the floor."""
     return act_word(word, v).floor_coeff()
-
-
-def conformal_weight(lam, k):
-    """L_0 eigenvalue lambda(lambda+1)/(4(k + h_vee)) of the weight-lambda
-    vector, at exact lambda and k."""
-    lam, k = EXACT.coerce(lam), EXACT.coerce(k)
-    denom = (k + EXACT.from_rational(H_VEE)) * EXACT.from_int(4)
-    if is_zero(denom):
-        raise CriticalLevelError(f"critical level k = {-H_VEE}")
-    return lam * (lam + EXACT.one) / denom

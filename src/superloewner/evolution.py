@@ -45,7 +45,8 @@ global per-driver Brownian sign flip is law-preserving).
 The represented state [1 + L12 + L1 L2] e^{E x^E} e^{H x^H} e^{F x^F}
 Q(rho)|0> is written once, in `assemble`, over a back end that only
 applies weighted sums of modes: `assemble_state_vector` runs it on the
-exact dict engine of `affine`, and `matrixrep.BatchAssembler` on
+exact dict engine of `affine`, which applies all of a step's pieces in
+one accumulator (`affine.act_sum`), and `matrixrep.BatchAssembler` on
 per-operator entry tables over a whole path batch.
 """
 
@@ -53,7 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .affine import Module, Vector, act_mode, mode, sugawara
+from .affine import VIRASORO, Module, Vector, act_sum, mode
 from .scalars import is_zero, to_complex
 from .series import (AutSeries, SeriesOrderError, TailSeries, series_exp,
                      series_inv_aut, series_mul)
@@ -273,9 +274,6 @@ def aut_to_virasoro(rho: AutSeries) -> list:
 
 # -- represented state -----------------------------------------------------
 
-VIRASORO = "L"  # operator key (VIRASORO, j) stands for L_{-j}
-
-
 def _exp_apply(apply, pieces, v, max_terms: int):
     """exp(sum c X) v as its nilpotent series, at most max_terms terms."""
     acc = term = v
@@ -316,22 +314,22 @@ def assemble(state: FlowState, apply, floor, nrep: int):
     return v + l12 + l1l2
 
 
+def dict_apply(pieces, w: Vector) -> Vector:
+    """The exact dict back end of `assemble`: all of a step's pieces
+    applied to w in one accumulator (`act_sum`), truncated at the module
+    bound."""
+    ops = [((VIRASORO, -j) if sym == VIRASORO else mode(sym, -j), c)
+           for (sym, j), c in pieces]
+    return act_sum(w, ops, project=True)
+
+
 def assemble_state_vector(state: FlowState, module: Module) -> Vector:
     """Berezin projection of Theta1 Theta0 Q(rho)|0> against 1 + eta1 eta2.
 
-    `assemble` on the exact dict engine: the depth-truncated vacuum
+    `assemble` on the exact dict engine (`dict_apply`), which applies
+    all of a step's pieces in one accumulator: the depth-truncated vacuum
     module over module.ring (no Grassmann ring is needed after the
     projection).
     """
-
-    def apply(pieces, w: Vector) -> Vector:
-        acc = Vector(module, {})
-        for (sym, j), c in pieces:
-            if is_zero(c):
-                continue
-            image = (sugawara(-j, w, project=True) if sym == VIRASORO
-                     else act_mode(mode(sym, -j), w, project=True))
-            acc = acc + image.scale(c)
-        return acc
-
-    return assemble(state, apply, Vector.floor_vector(module), module.nrep)
+    return assemble(state, dict_apply, Vector.floor_vector(module),
+                    module.nrep)

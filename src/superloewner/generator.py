@@ -78,14 +78,21 @@ class ItoJet:
             return ItoJet(self.val * o, self.dt * o,
                           tuple(x * o for x in self.b), self.base,
                           self.variances)
-        ito = self.base.zero
+        # most slots are zero: skip every product with a zero factor
+        zero = self.base.zero
+        dt, b = zero, []
+        for x, y in ((self.val, o.dt), (self.dt, o.val)):
+            if not (is_zero(x) or is_zero(y)):
+                dt = dt + x * y
         for var, xb, yb in zip(self.variances, self.b, o.b):
-            ito = ito + var * xb * yb
-        return ItoJet(
-            self.val * o.val,
-            self.val * o.dt + self.dt * o.val + ito,
-            tuple(self.val * yb + xb * o.val for xb, yb in zip(self.b, o.b)),
-            self.base, self.variances)
+            if is_zero(xb):
+                b.append(zero if is_zero(yb) else self.val * yb)
+            elif is_zero(yb):
+                b.append(xb * o.val)
+            else:  # the Ito term var_d b_d b'_d
+                dt = dt + var * xb * yb
+                b.append(self.val * yb + xb * o.val)
+        return ItoJet(self.val * o.val, dt, b, self.base, self.variances)
 
     __rmul__ = __mul__
 

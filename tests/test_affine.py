@@ -6,9 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from superloewner.affine import (DepthOverflowError, Module, Vector, act_mode,
-                                 act_word, annihilator_apply, conformal_weight,
-                                 expectation, mode, normal_order_product,
+from superloewner.affine import (DepthOverflowError, Module, Vector,
+                                 _normal_order_product, act_mode, act_word,
+                                 annihilator_apply, expectation, mode,
                                  sugawara)
 from superloewner.evolution import PROCESS_NAMES, FlowState
 from superloewner.generator import JetRing, state_drift
@@ -16,8 +16,9 @@ from superloewner.grassmann import GrassRing, berezin
 from superloewner.matrixrep import _basis_monomials
 from superloewner.scalars import EXACT, rational
 from superloewner.series import AutSeries, TailSeries
-from superloewner.superalgebra import (CASIMIR, CriticalLevelError, PARITY,
-                                       SYMBOLS, bracket_symbols, form_symbols)
+from superloewner.superalgebra import (CASIMIR, H_VEE, CriticalLevelError,
+                                       PARITY, SYMBOLS, bracket_symbols,
+                                       form_symbols)
 
 R = EXACT
 
@@ -84,13 +85,13 @@ def test_depth_overflow():
 def test_normal_order_examples():
     mod = module()
     v0 = vac(mod)
-    assert normal_order_product(mode("E", 1), mode("F", -1), v0).is_zero()
-    ordered = normal_order_product(mode("e", -1), mode("f", -1), v0)
+    assert _normal_order_product(mode("E", 1), mode("F", -1), v0).is_zero()
+    ordered = _normal_order_product(mode("e", -1), mode("f", -1), v0)
     assert ordered == act_word((mode("e", -1), mode("f", -1)), v0)
-    assert normal_order_product(mode("f", 1), mode("e", -1), v0).is_zero()
+    assert _normal_order_product(mode("f", 1), mode("e", -1), v0).is_zero()
     # the odd-odd reordering carries the minus sign
     w = act_mode(mode("f", -2), v0)
-    lhs = normal_order_product(mode("f", 1), mode("e", -1), w)
+    lhs = _normal_order_product(mode("f", 1), mode("e", -1), w)
     rhs = -act_word((mode("e", -1), mode("f", 1)), w)
     assert lhs == rhs
 
@@ -279,6 +280,16 @@ def test_expectation_examples():
         == rational(2) * mod.k
 
 
+def conformal_weight(lam, k):
+    """L_0 eigenvalue lambda(lambda+1)/(4(k + h_vee)) of the weight-lambda
+    vector, at exact lambda and k."""
+    lam, k = R.coerce(lam), R.coerce(k)
+    denom = (k + R.from_rational(H_VEE)) * R.from_int(4)
+    if denom.is_zero():
+        raise CriticalLevelError(f"critical level k = {-H_VEE}")
+    return lam * (lam + R.one) / denom
+
+
 def test_conformal_weight():
     assert conformal_weight(0, 1) == R.zero
     assert conformal_weight(1, "1/2") == rational("1/4")
@@ -386,8 +397,8 @@ def _casimir_sum(n, v, project=False):
     acc = Vector(module, {})
     for j in range(-span, span + 1):
         for num, den, sa, sb in CASIMIR:
-            term = normal_order_product(mode(sa, n - j), mode(sb, j), v,
-                                        project=project)
+            term = _normal_order_product(mode(sa, n - j), mode(sb, j), v,
+                                         project=project)
             acc = acc + term.scale(R.from_int(num) / den)
     return acc.scale((module.k * 2 + R.from_int(3)).inverse())
 
@@ -431,3 +442,28 @@ def test_sugawara_raises_where_the_casimir_sum_does():
                 assert _outcome(sugawara, n, v) == want, (nrep, v, n)
     # a zero image raises nothing, even past the bound
     assert sugawara(-1, vac(module(k, 0))).is_zero()
+
+
+def _act_in_a_deeper_module(m, v):
+    """X(n) v computed where nothing overflows; "raises" when the image
+    reaches past v's own depth bound."""
+    mod = v.module
+    deep = Module(R, mod.k, mod.nrep + 4, mod.floor, mod.weight)
+    image = act_mode(m, Vector(deep, v.terms))
+    if any(sum(-n for _, n in m2) > mod.nrep for m2 in image.terms):
+        return "raises"
+    return image
+
+
+def test_act_mode_raises_where_the_image_overflows():
+    k = "3/5"
+    for nrep in (0, 1, 2):
+        vectors = [Vector(module(k, nrep), {mono: R.one})
+                   for mono in _basis_monomials(nrep)]
+        verma = Vector.floor_vector(module(k, nrep, floor="verma",
+                                           weight=rational(2)))
+        vectors += [verma, act_mode(mode("f", 0), verma)]
+        for v in vectors:
+            for m in (mode(x, n) for x in SYMBOLS for n in range(-3, 3)):
+                assert _outcome(act_mode, m, v) == \
+                    _act_in_a_deeper_module(m, v), (nrep, v, m)

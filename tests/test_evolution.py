@@ -4,11 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from superloewner.affine import Module, Vector, act_mode, act_word, mode
+from superloewner.affine import (Module, Vector, act_mode, act_word, mode,
+                                 sugawara)
 from superloewner.evolution import (DRIVERS, PROCESS_NAMES, FlowState,
                                     assemble_state_vector, aut_to_virasoro,
-                                    flow_step, initial_state, loewner_step,
-                                    sugawara)
+                                    flow_step, initial_state, loewner_step)
 from superloewner.scalars import COMPLEX, EXACT, rational, to_complex
 from superloewner.series import (AutSeries, TailSeries, series_equal,
                                  series_exp, series_inv_aut, substitute)

@@ -8,7 +8,7 @@ from superloewner.affine import (Module, Vector, act_mode, act_word,
                                  expectation, mode, sugawara)
 from superloewner.evolution import (DRIVERS, PROCESS_NAMES, VIRASORO,
                                     FlowState, assemble, assemble_state_vector,
-                                    flow_step, initial_state)
+                                    dict_apply, flow_step, initial_state)
 from superloewner.generator import ItoJet, JetRing, jet_state, state_drift
 from superloewner.observables import observable_current
 from superloewner.scalars import EXACT, is_zero, rational
@@ -70,6 +70,42 @@ def test_jet_division_by_int():
     x = _jet(spec, rational(3), rational(6), (R.one,) * 5)
     h = x / 3
     assert h.val == rational(1) and h.dt == rational(2)
+
+
+def _dense_product(x, y):
+    """The Ito product written out, every slot multiplied, zero or not."""
+    ito = x.base.zero
+    for var, xb, yb in zip(x.variances, x.b, y.b):
+        ito = ito + var * xb * yb
+    return ItoJet(x.val * y.val, x.val * y.dt + x.dt * y.val + ito,
+                  [x.val * yb + xb * y.val for xb, yb in zip(x.b, y.b)],
+                  x.base, x.variances)
+
+
+def _sparse_jet(spec, rng, draw):
+    """A jet over spec whose val, dt and beta slots are each zero with
+    probability 1/2 and draw() otherwise."""
+    val, dt, *b = [draw() if rng.random() < 0.5 else spec.base.zero
+                   for _ in range(7)]
+    return ItoJet(val, dt, b, spec.base, spec.variances)
+
+
+def test_jet_product_equals_the_dense_ito_product():
+    rng = random.Random(5)
+    spec = _spec()
+    jets = [_sparse_jet(spec, rng, lambda: rational(
+        Fraction(rng.randint(-3, 3), rng.randint(1, 4)))) for _ in range(12)]
+    # nested: a jet over the jet ring, whose slots are jets themselves
+    outer = JetRing(spec, [spec.lift(v) for v in spec.variances])
+    nested = [_sparse_jet(outer, rng, lambda: rng.choice(jets))
+              for _ in range(8)]
+    assert any(is_zero(b) for x in jets + nested for b in x.b)
+    for family in (jets, nested):
+        for x in family:
+            for y in family:
+                got, want = x * y, _dense_product(x, y)
+                assert (got.val, got.dt, got.b) == (want.val, want.dt,
+                                                    want.b)
 
 
 def _rand_state(order, rng):
@@ -302,7 +338,8 @@ _ODD_AND_TOP = ("x1e", "x1f", "x2e", "x2f", "x12E", "x12H", "x12F")
 
 
 def _dict_apply(module):
-    """The dict back end of `assemble_state_vector`."""
+    """Per-piece reference for `dict_apply`: one act_mode or sugawara
+    call per nonzero piece, each image scaled and added on its own."""
     def apply(pieces, w):
         acc = Vector(module, {})
         for (sym, j), c in pieces:
@@ -313,6 +350,44 @@ def _dict_apply(module):
             acc = acc + image.scale(c)
         return acc
     return apply
+
+
+@pytest.mark.parametrize("nrep", [3, 4])
+def test_one_pass_assembly_equals_the_per_piece_sum(nrep):
+    rng = random.Random(nrep)
+    k = rational("2/3")
+    for s in [_dense_state(nrep, rng) for _ in range(2)]:
+        mod = Module(R, k, nrep)
+        want = assemble(s, _dict_apply(mod), Vector.floor_vector(mod), nrep)
+        assert assemble_state_vector(s, mod).terms == want.terms
+    # over Ito jets: the state's own SDE rides along in every coefficient
+    spec, js = jet_state(_dense_state(3, rng), rational(2), rational("4/5"))
+    jmod = Module(spec, k, 3)
+    want = assemble(js, _dict_apply(jmod), Vector.floor_vector(jmod), 3)
+    assert assemble_state_vector(js, jmod).terms == want.terms
+
+
+def test_one_pass_apply_drops_past_the_bound_and_skips_zero_pieces():
+    k, nrep = rational("2/3"), 3
+    mod = Module(R, k, nrep)
+    v0 = Vector.floor_vector(mod)
+    w = (act_word((mode("H", -1), mode("e", -1)), v0)
+         + act_mode(mode("F", -1), v0).scale(rational(3)) + v0)
+    keep = [(("E", 1), rational("1/2")), ((VIRASORO, 2), rational(-2)),
+            (("f", 1), R.sqrt2)]
+    # H(-2) and L_{-2} carry the depth-2 term of w past depth 3
+    past = [(("H", 2), rational(5)), ((VIRASORO, 2), rational("1/7"))]
+    zero = [(("e", 1), R.zero), ((VIRASORO, 1), R.zero)]
+    for pieces in (keep, past, zero, keep + past + zero, zero + keep):
+        assert dict_apply(pieces, w) == _dict_apply(mod)(pieces, w), pieces
+    assert dict_apply(zero, w).is_zero()
+    assert dict_apply(keep + zero, w) == dict_apply(keep, w)
+    # projection drops exactly the images deeper than the bound
+    deep = Module(R, k, 5)
+    full = _dict_apply(deep)(past, Vector(deep, w.terms)).terms
+    kept = {m: c for m, c in full.items()
+            if sum(-n for _, n in m) <= nrep}
+    assert kept != full and dict_apply(past, w).terms == kept
 
 
 def test_drift_is_the_odd_sector_on_the_body_drift_at_any_state():
@@ -330,11 +405,10 @@ def test_drift_is_the_odd_sector_on_the_body_drift_at_any_state():
         vac = Vector.floor_vector(module)
         d0 = (act_word([mode("H", -2)], vac).scale(-tau / 4)
               + act_word([mode("e", -1), mode("f", -1)], vac).scale(tau / 2))
-        apply = _dict_apply(module)
         zero = TailSeries.zero(3, R)
         body = dataclasses.replace(s, **dict.fromkeys(_ODD_AND_TOP, zero))
-        want = (assemble(s, apply, d0, 3)
-                - assemble(body, apply, d0, 3))
+        want = (assemble(s, dict_apply, d0, 3)
+                - assemble(body, dict_apply, d0, 3))
         assert state_drift(s, k, kap, tau, R, 3) == want, (kq, kapq)
 
 
