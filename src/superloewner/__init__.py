@@ -7,7 +7,7 @@ Monte Carlo martingale harness).
 """
 
 from .scalars import COMPLEX, EXACT, Cyclo8, rational
-from .grassmann import GrassRing, GrassmannScalar, berezin
+from .grassmann import GrassRing, berezin
 from .superalgebra import (AlgebraElement, CriticalLevelError,
                            DegeneratePairingError, StructureData, bracket,
                            dual_basis, form, orthonormal_even_basis,
@@ -22,7 +22,7 @@ from .nullscan import (candidate_psi, condition_one, condition_two,
                        direct_residuals, null_conditions)
 from .evolution import (FlowState, aut_to_virasoro, assemble_state_vector,
                         flow_step, initial_state, loewner_step)
-from .generator import ItoJet, JetRing, jet_state, state_drift
+from .generator import JetRing, jet_state, state_drift
 from .matrixrep import BatchAssembler, MatrixModule
 from .observables import current_via_module, dual_words, observable_current
 from .harness import (ConfigError, MartingaleReport, RunConfig, SimResult,

@@ -13,7 +13,8 @@ share the base object.  `flow_step` sums scalar * increment per
 distinct base (one scalar per path) and adds the base times that sum
 in one pass over its coefficients.  This is the one statement of the
 SDE: the exact drift (`generator.jet_state`) is one `flow_step` over
-the Ito-jet ring, whose Ito rule lives in `ItoJet.__mul__`.
+the Ito-jet ring, whose Ito rule is its product table,
+beta_d beta_d = var_d delta.
 
 Two odd-sector variants ship:
 

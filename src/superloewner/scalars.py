@@ -11,8 +11,10 @@ inverses go through the Galois conjugates x -> x^m, m in {3, 5, 7}.
 Simulation code uses plain Python/numpy complex instead; the series and
 module engines are generic over either backend (they only need ring
 operations), so a `Ring` handle carries the few constants they ask for.
-The Grassmann and Ito-jet rings are `Ring.over` a base ring: their
-constants are the lifts of the base's.
+The Grassmann and Ito-jet rings are nilpotent extensions of a base ring
+(`Ring.extend`): one element class, `Extension`, and a product table per
+ring, eta1 eta2 = -eta2 eta1 = eta12 for Grassmann and
+beta_d beta_d = var_d delta for the Ito jet.
 """
 
 from __future__ import annotations
@@ -218,10 +220,100 @@ def to_complex(v) -> complex:
     return v.to_complex() if isinstance(v, Cyclo8) else complex(v)
 
 
+class Extension:
+    """c_0 + c_1 g_1 + ... + c_n g_n over a base ring, held as the tuple
+    `coeffs` on the basis (1, g_1..g_n).
+
+    A product of generators g_i g_j is t g_k for a table entry and 0
+    otherwise, and every product of three generators vanishes.
+    `Ring.extend` makes one subclass per ring, so that an element holds
+    only its coefficients and the ring's constants can be built before
+    the ring.  The subclass holds the base ring, the basis names, `zeros`
+    (the base zero on each generator) and the table as `rows[i]`, the
+    (j, t, k) of g_i g_j = t g_k with g_0 = 1 and t None for 1.
+    """
+
+    __slots__ = ("coeffs",)
+    base = names = zeros = rows = None  # set on each ring's subclass
+
+    def __init__(self, coeffs):
+        self.coeffs = coeffs
+
+    def _lift(self, v):
+        """v as an element: itself, or a base scalar times 1."""
+        if type(v) is type(self):
+            return v
+        return type(self)((self.base.coerce(v),) + self.zeros)
+
+    def __add__(self, other):
+        o = self._lift(other)
+        return type(self)(tuple(x + y for x, y in zip(self.coeffs, o.coeffs)))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return type(self)(tuple(-x for x in self.coeffs))
+
+    def __sub__(self, other):
+        return self + -self._lift(other)
+
+    def __rsub__(self, other):
+        return self._lift(other) - self
+
+    def __mul__(self, other):
+        kind = type(self)
+        if type(other) is not kind:  # a base scalar: scale each slot
+            other = kind.base.coerce(other)
+            return kind(tuple(x * other for x in self.coeffs))
+        # most slots are zero: skip every product with a zero factor
+        a, b = self.coeffs, other.coeffs
+        live = [not is_zero(y) for y in b]
+        out = [None] * len(a)
+        for x, row in zip(a, kind.rows):
+            if is_zero(x):
+                continue
+            for j, t, k in row:
+                if live[j]:
+                    p = x * b[j] if t is None else t * x * b[j]
+                    out[k] = p if out[k] is None else out[k] + p
+        return kind(tuple(kind.base.zero if c is None else c for c in out))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, int):
+            return type(self)(tuple(x / other for x in self.coeffs))
+        return self * self._lift(other).inverse()
+
+    def inverse(self):
+        # self = v (1 + m) with m nilpotent, m^3 = 0
+        inv_v = self.base.one / self.coeffs[0]
+        m = (self - self.coeffs[0]) * inv_v
+        return (1 - m + m * m) * inv_v
+
+    def __complex__(self):
+        """The standard part, as `flow_step`'s clock reads it."""
+        return to_complex(self.coeffs[0])
+
+    def is_zero(self) -> bool:
+        return all(is_zero(x) for x in self.coeffs)
+
+    def __eq__(self, other):
+        return (self - other).is_zero()
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __repr__(self):
+        parts = [f"({c})*{n}" for c, n in zip(self.coeffs, self.names)
+                 if not is_zero(c)]
+        return " + ".join(parts) if parts else "0"
+
+
 class Ring:
     """Constants a generic-series/module computation needs from its scalars,
     and `lift`, which maps an exact value (a `base` element, for a ring
-    built by `Ring.over`) into the ring."""
+    built by `Ring.over` or `Ring.extend`) into the ring."""
 
     def __init__(self, zero, one, i, sqrt2, from_int, name, lift, base=None):
         self.zero = zero
@@ -240,6 +332,30 @@ class Ring:
                    sqrt2=lift(base.sqrt2),
                    from_int=lambda n: lift(base.from_int(n)),
                    name=f"{name}:{base.name}", lift=lift, base=base)
+
+    @classmethod
+    def extend(cls, base: "Ring", names, products, name: str) -> "Ring":
+        """base[g_1..g_n] for the generators `names`: g_i g_j = t g_k for
+        each entry (g_i, g_j): (t, g_k) of `products`, and 0 otherwise.
+        A product may not be a factor of another, so that every product
+        of three generators vanishes.  `gens` holds (g_1..g_n)."""
+        basis = ("1",) + tuple(names)
+        rows = [[(j, None, j) for j in range(len(basis))]]
+        rows += [[(0, None, i)] for i in range(1, len(basis))]
+        factors = {g for pair in products for g in pair}
+        for (gi, gj), (t, gk) in products.items():
+            if gk in factors:
+                raise ValueError(f"{gk} is both a product and a factor")
+            t = None if isinstance(t, int) and t == 1 else base.coerce(t)
+            rows[basis.index(gi)].append((basis.index(gj), t, basis.index(gk)))
+        zeros = (base.zero,) * len(names)
+        kind = type(f"{name}:{base.name}", (Extension,), {
+            "__slots__": (), "base": base, "names": basis, "zeros": zeros,
+            "rows": rows})
+        ring = cls.over(base, lambda v: kind((v,) + zeros), name)
+        ring.gens = tuple(kind(zeros[:i] + (base.one,) + zeros[i:])
+                          for i in range(1, len(basis)))
+        return ring
 
     @property
     def root(self) -> "Ring":

@@ -24,7 +24,7 @@ from superloewner.affine import (Module, Vector, act_mode, act_word,
                                  annihilator_apply, expectation, mode,
                                  sugawara)
 from superloewner.evolution import initial_state, loewner_step
-from superloewner.grassmann import GrassRing, GrassmannScalar, berezin
+from superloewner.grassmann import GrassRing, berezin
 from superloewner.harness import RunConfig, martingale_seed_suite
 from superloewner.nullscan import condition_one, null_conditions
 from superloewner.observables import current_via_module, observable_current
@@ -53,7 +53,7 @@ def test_criterion_1_annihilator_identity():
     for kq in ("1/2", "1", "3", "10"):
         for kapq in ("2", "8/3", "4"):
             k = rational(kq)
-            tau = GrassmannScalar.body(
+            tau = G.lift(
                 rational(2) * (k + rational("3/2")).inverse())
             kappa = G.from_rational(kapq)
             module = Module(G, k, 4)

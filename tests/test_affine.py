@@ -177,6 +177,10 @@ def test_sugawara_critical_level():
         sugawara(-1, vac(mod))
 
 
+# slots of a Grassmann coefficient on the basis (1, eta1, eta2, eta12)
+_BODY, _ETA1, _ETA2 = 0, 1, 2
+
+
 def _grass_module(kq, nrep=4):
     G = GrassRing(EXACT)
     return Module(G, rational(kq), nrep), G
@@ -190,8 +194,7 @@ def test_annihilator_exact_zero_at_default_tau():
                 for _ in range(20)]
     for kq, kapq in samples:
         mod, G = _grass_module(kq)
-        from superloewner.grassmann import GrassmannScalar
-        tau = GrassmannScalar.body(
+        tau = G.lift(
             rational(2) * (rational(kq) + rational("3/2")).inverse())
         kap = G.from_rational(kapq)
         v0 = vac(mod)
@@ -207,7 +210,7 @@ def test_annihilator_tau_zero_is_minus_2_l2():
     out = annihilator_apply(G.zero, G.zero, v0)
     plain = module("1")
     want = sugawara(-2, vac(plain)).scale(rational(-2))
-    got = Vector(plain, {m: c.comp[0] for m, c in out.terms.items()})
+    got = Vector(plain, {m: c.coeffs[_BODY] for m, c in out.terms.items()})
     assert got == want
     assert not got.is_zero()
 
@@ -216,7 +219,7 @@ def test_annihilator_grassmann_sector():
     mod, G = _grass_module("1")
     out = annihilator_apply(G.one, G.one, vac(mod))
     for c in out.terms.values():
-        assert c.comp[1].is_zero() and c.comp[2].is_zero()
+        assert c.coeffs[_ETA1].is_zero() and c.coeffs[_ETA2].is_zero()
 
 
 @pytest.mark.parametrize("kq", ["1/2", "1", "3", "-5/3"])
@@ -225,15 +228,13 @@ def test_annihilator_and_null_candidate_are_one_operator(kq, kapq):
     # the Berezin projection of Xi (1 + eta1 eta2)|0> is Xi|0> with the
     # odd Casimir terms at weight 1, the operator nullscan.candidate_psi
     # applies: zero at tau = 2/(k + h_vee), four equal terms at tau = 1/3
-    from superloewner.grassmann import GrassmannScalar
     k, kap = rational(kq), rational(kapq)
     mod, G = _grass_module(kq)
     plain = module(kq)
     v0 = vac(mod)
     for tau, nterms in ((rational(2) / (k + rational("3/2")), 0),
                         (rational("1/3"), 4)):
-        out = annihilator_apply(GrassmannScalar.body(kap),
-                                GrassmannScalar.body(tau),
+        out = annihilator_apply(G.lift(kap), G.lift(tau),
                                 v0 + v0.scale(G.eta12))
         projected = Vector(plain, {m: berezin(c)
                                    for m, c in out.terms.items()})

@@ -9,7 +9,7 @@ from superloewner.affine import (Module, Vector, act_mode, act_word,
 from superloewner.evolution import (DRIVERS, PROCESS_NAMES, VIRASORO,
                                     FlowState, assemble, assemble_state_vector,
                                     dict_apply, flow_step, initial_state)
-from superloewner.generator import ItoJet, JetRing, jet_state, state_drift
+from superloewner.generator import DELTA, JetRing, jet_state, state_drift
 from superloewner.observables import observable_current
 from superloewner.scalars import EXACT, is_zero, rational
 from superloewner.series import AutSeries, TailSeries
@@ -24,7 +24,17 @@ def _spec():
 
 
 def _jet(spec, val, dt, b):
-    return ItoJet(val, dt, b, spec.base, spec.variances)
+    """val + dt*delta + sum_d b[d]*beta_d over the jet ring spec."""
+    delta, *betas = spec.gens
+    out = spec.lift(val) + delta * dt
+    for beta, c in zip(betas, b):
+        out = out + beta * c
+    return out
+
+
+def _parts(x):
+    """(val, dt, b) of a jet: its 1, delta and beta_0..beta_4 slots."""
+    return x.coeffs[0], x.coeffs[DELTA], x.coeffs[DELTA + 1:]
 
 
 def test_jet_ring_ito_rule():
@@ -32,17 +42,16 @@ def test_jet_ring_ito_rule():
     zb = R.zero
     # x = s + beta_0: E[x^2] picks up the variance kappa
     x = _jet(spec, rational(3), zb, (R.one, zb, zb, zb, zb))
-    sq = x * x
-    assert sq.val == rational(9)
-    assert sq.dt == rational(2)  # kappa = 2
-    assert sq.b[0] == rational(6)
+    val, dt, b = _parts(x * x)
+    assert val == rational(9)
+    assert dt == rational(2)  # kappa = 2
+    assert b[0] == rational(6)
     # independent drivers have zero cross variation
     y = _jet(spec, rational(1), zb, (zb, R.one, zb, zb, zb))
-    xy = x * y
-    assert xy.dt == R.zero
+    assert _parts(x * y)[1] == R.zero
     # drift adds linearly
     z = _jet(spec, rational(1), rational(5), (zb,) * 5)
-    assert (x * z).dt == rational(15)
+    assert _parts(x * z)[1] == rational(15)
 
 
 def test_jet_inverse():
@@ -61,25 +70,24 @@ def test_jet_times_a_base_scalar_scales_each_slot():
     c = rational("3/7") + R.sqrt2
     for got in (x * c, c * x):
         assert got == x * spec.lift(c)
-        assert (got.val, got.dt, got.b) == (x.val * c, x.dt * c,
-                                            tuple(b * c for b in x.b))
+        assert got.coeffs == tuple(v * c for v in x.coeffs)
 
 
 def test_jet_division_by_int():
     spec = _spec()
     x = _jet(spec, rational(3), rational(6), (R.one,) * 5)
-    h = x / 3
-    assert h.val == rational(1) and h.dt == rational(2)
+    val, dt, _ = _parts(x / 3)
+    assert val == rational(1) and dt == rational(2)
 
 
-def _dense_product(x, y):
+def _dense_product(spec, x, y):
     """The Ito product written out, every slot multiplied, zero or not."""
-    ito = x.base.zero
-    for var, xb, yb in zip(x.variances, x.b, y.b):
-        ito = ito + var * xb * yb
-    return ItoJet(x.val * y.val, x.val * y.dt + x.dt * y.val + ito,
-                  [x.val * yb + xb * y.val for xb, yb in zip(x.b, y.b)],
-                  x.base, x.variances)
+    (xv, xdt, xb), (yv, ydt, yb) = _parts(x), _parts(y)
+    ito = spec.base.zero
+    for var, p, q in zip(spec.variances, xb, yb):
+        ito = ito + var * p * q
+    return _jet(spec, xv * yv, xv * ydt + xdt * yv + ito,
+                [xv * q + p * yv for p, q in zip(xb, yb)])
 
 
 def _sparse_jet(spec, rng, draw):
@@ -87,7 +95,7 @@ def _sparse_jet(spec, rng, draw):
     probability 1/2 and draw() otherwise."""
     val, dt, *b = [draw() if rng.random() < 0.5 else spec.base.zero
                    for _ in range(7)]
-    return ItoJet(val, dt, b, spec.base, spec.variances)
+    return _jet(spec, val, dt, b)
 
 
 def test_jet_product_equals_the_dense_ito_product():
@@ -99,13 +107,11 @@ def test_jet_product_equals_the_dense_ito_product():
     outer = JetRing(spec, [spec.lift(v) for v in spec.variances])
     nested = [_sparse_jet(outer, rng, lambda: rng.choice(jets))
               for _ in range(8)]
-    assert any(is_zero(b) for x in jets + nested for b in x.b)
-    for family in (jets, nested):
+    assert any(is_zero(b) for x in jets + nested for b in _parts(x)[2])
+    for ring, family in ((spec, jets), (outer, nested)):
         for x in family:
             for y in family:
-                got, want = x * y, _dense_product(x, y)
-                assert (got.val, got.dt, got.b) == (want.val, want.dt,
-                                                    want.b)
+                assert _parts(x * y) == _parts(_dense_product(ring, x, y))
 
 
 def _rand_state(order, rng):
@@ -235,7 +241,8 @@ def _body_drift_on_vacuum(k, kap, tau):
     js = dataclasses.replace(js, **{n: zero for n in (
         "x1e", "x1f", "x2e", "x2f", "x12E", "x12H", "x12F")})
     jvec = assemble_state_vector(js, Module(spec, k, 4))
-    return Vector(Module(R, k, 4), {m: c.dt for m, c in jvec.terms.items()})
+    return Vector(Module(R, k, 4),
+                  {m: c.coeffs[DELTA] for m, c in jvec.terms.items()})
 
 
 # <0|e(1)f(3)| on (H(-2) D|0>, f(-1)e(-1) D|0>), frozen from the jet
@@ -278,8 +285,9 @@ def test_nested_jets_give_the_second_generator_at_the_vacuum():
     k, kap, tau = rational(1), rational(2), rational("4/5")
     outer, js = jet_state(initial_state(4, R), kap, tau)
     d = state_drift(js, k, outer.lift(kap), outer.lift(tau), outer, 4)
-    assert all(c.val.is_zero() for c in d.terms.values())
-    l2 = Vector(Module(R, k, 4), {m: c.dt for m, c in d.terms.items()})
+    assert all(c.coeffs[0].is_zero() for c in d.terms.values())
+    l2 = Vector(Module(R, k, 4),
+                {m: c.coeffs[DELTA] for m, c in d.terms.items()})
     vac = Vector.floor_vector(l2.module)
 
     def word(*modes):
@@ -328,8 +336,7 @@ def test_current_observable_coefficients_have_zero_drift():
     spec, js = jet_state(s, kap, tau)
     o = observable_current(js, spec.lift(k), spec)
     for n in range(1, 4):
-        jet = o.coeff(-n - 1)
-        assert jet.dt.is_zero(), n
+        assert o.coeff(-n - 1).coeffs[DELTA].is_zero(), n
 
 
 # the seven odd and top processes: zero them and only the body
@@ -391,25 +398,78 @@ def test_one_pass_apply_drops_past_the_bound_and_skips_zero_pieces():
 
 
 def test_drift_is_the_odd_sector_on_the_body_drift_at_any_state():
-    # state_drift(s) = [L12 + L1 L2] B D|0> at depth 3, with
+    # state_drift(s) = [L12 + L1 L2] B D|0> at depths 3 to 5, with
     # D|0> = tau (-1/4 H(-2) + 1/2 e(-1)f(-1))|0>: assemble from the floor
     # D|0> and subtract the body alone
     rng = random.Random(31)
-    cases = [(kq, kapq, _rand_state(3, rng))
-             for kq, kapq in (("1", "2"), ("1/2", "8/3")) for _ in range(3)]
-    cases += [("1", "2", _dense_state(3, rng)) for _ in range(3)]
-    for kq, kapq, s in cases:
-        k, kap = rational(kq), rational(kapq)
-        tau = rational(2) / (k + rational("3/2"))
-        module = Module(R, k, 3)
-        vac = Vector.floor_vector(module)
-        d0 = (act_word([mode("H", -2)], vac).scale(-tau / 4)
-              + act_word([mode("e", -1), mode("f", -1)], vac).scale(tau / 2))
-        zero = TailSeries.zero(3, R)
-        body = dataclasses.replace(s, **dict.fromkeys(_ODD_AND_TOP, zero))
-        want = (assemble(s, dict_apply, d0, 3)
-                - assemble(body, dict_apply, d0, 3))
-        assert state_drift(s, k, kap, tau, R, 3) == want, (kq, kapq)
+    for depth, n in ((3, 3), (4, 2), (5, 2)):
+        cases = [(kq, kapq, _rand_state(depth, rng))
+                 for kq, kapq in (("1", "2"), ("1/2", "8/3"))
+                 for _ in range(n)]
+        cases += [("1", "2", _dense_state(depth, rng)) for _ in range(n)]
+        for kq, kapq, s in cases:
+            k, kap = rational(kq), rational(kapq)
+            tau = rational(2) / (k + rational("3/2"))
+            module = Module(R, k, depth)
+            vac = Vector.floor_vector(module)
+            d0 = (act_word([mode("H", -2)], vac).scale(-tau / 4)
+                  + act_word([mode("e", -1), mode("f", -1)],
+                             vac).scale(tau / 2))
+            zero = TailSeries.zero(depth, R)
+            body = dataclasses.replace(s, **dict.fromkeys(_ODD_AND_TOP, zero))
+            want = (assemble(s, dict_apply, d0, depth)
+                    - assemble(body, dict_apply, d0, depth))
+            got = state_drift(s, k, kap, tau, R, depth)
+            assert got == want, (depth, kq, kapq)
+
+
+def _rank(vectors):
+    """Rank over the exact field of the vectors (dicts key -> scalar), by
+    elimination into rows with one pivot each."""
+    rows = []  # (pivot, row with 1 at its pivot and 0 at earlier pivots)
+    for v in vectors:
+        v = dict(v)
+        for p, row in rows:
+            c = v.get(p)
+            if c is not None:
+                v = {m: v.get(m, R.zero) - c * row.get(m, R.zero)
+                     for m in v.keys() | row.keys()}
+                v = {m: x for m, x in v.items() if not x.is_zero()}
+        if v:
+            p = min(v, key=repr)
+            rows.append((p, {m: x / v[p] for m, x in v.items()}))
+    return len(rows)
+
+
+def _deep_reached(rng, tau):
+    """The state after 1-5 exact derived Euler steps from the order-5
+    vacuum, dt = 1/q (5 <= q <= 20), increments p/q (|p| <= 3, q <= 3)."""
+    s = initial_state(5, R)
+    for _ in range(rng.randint(1, 5)):
+        dt = rational(Fraction(1, rng.randint(5, 20)))
+        incs = {d: rational(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+                for d in DRIVERS}
+        s = flow_step(s, dt, incs, tau)
+    return s
+
+
+def test_drift_ranks_at_depths_4_and_5_on_reachable_states():
+    # on reached states the drift has no component of depth <= 3; its
+    # depth-4 part spans 2 dimensions, the two directions of the closed
+    # form, and its depth-5 part spans 15
+    k, kap, tau = rational(1), rational(2), rational("4/5")
+    rng = random.Random(0)
+    parts = {4: [], 5: []}
+    for _ in range(20):
+        d = state_drift(_deep_reached(rng, tau), k, kap, tau, R, 5)
+        assert all(_depth(m) >= 4 for m in d.terms)
+        for depth, vectors in parts.items():
+            vectors.append({m: c for m, c in d.terms.items()
+                            if _depth(m) == depth})
+    assert _rank(parts[4]) == 2
+    assert _rank(parts[5]) == 15
+    # the spans are reached well before the last state
+    assert _rank(parts[4][:15]) == 2 and _rank(parts[5][:15]) == 15
 
 
 def _series(s):
@@ -439,7 +499,8 @@ def test_weight_grading_of_the_flow(variant, order):
         _, jl = jet_state(_weight_scaled(s, lam), kap, tau, variant=variant)
         for sa, sb in zip(_series(js), _series(jl)):
             for w, (a, b) in enumerate(zip(sa.coeffs, sb.coeffs), start=1):
-                assert b.val == a.val * lam ** w, w
-                assert b.dt == a.dt * lam ** (w - 2), w
+                (av, adt, ab), (bv, bdt, bb) = _parts(a), _parts(b)
+                assert bv == av * lam ** w, w
+                assert bdt == adt * lam ** (w - 2), w
                 assert all(y == x * lam ** (w - 1)
-                           for x, y in zip(a.b, b.b)), w
+                           for x, y in zip(ab, bb)), w

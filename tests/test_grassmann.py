@@ -1,4 +1,6 @@
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -27,6 +29,17 @@ def _brute(a_word, b_word):
 
 _WORDS = {0: (), 1: (1,), 2: (2,), 3: (1, 2)}
 _BASIS = [G.one, G.eta1, G.eta2, G.eta12]
+_INDEX = {word: i for i, word in _WORDS.items()}
+
+
+def _parity(a):
+    """0 or 1 for a homogeneous element; raises otherwise."""
+    c1, ce1, ce2, ce12 = a.coeffs
+    even = not (c1.is_zero() and ce12.is_zero())
+    odd = not (ce1.is_zero() and ce2.is_zero())
+    if even and odd:
+        raise ValueError("inhomogeneous Grassmann element has no parity")
+    return 1 if odd else 0
 
 
 def test_multiplication_matches_sign_counting_oracle():
@@ -37,9 +50,28 @@ def test_multiplication_matches_sign_counting_oracle():
             if sign == 0:
                 assert got.is_zero()
             else:
-                idx = {(): 0, (1,): 1, (2,): 2, (1, 2): 3}[word]
-                want = _BASIS[idx] if sign > 0 else -_BASIS[idx]
-                assert got == want, (ia, ib)
+                want = _BASIS[_INDEX[word]]
+                assert got == (want if sign > 0 else -want), (ia, ib)
+
+
+def _sparse(rng):
+    """A random element whose components are each zero with probability
+    1/2 and a small rational otherwise."""
+    return sum((b * rational(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+                for b in _BASIS if rng.random() < 0.5), G.zero)
+
+
+def test_product_of_random_elements_matches_the_oracle():
+    rng = random.Random(28)
+    for _ in range(40):
+        a, b = _sparse(rng), _sparse(rng)
+        want = G.zero
+        for (ia, x), (ib, y) in itertools.product(enumerate(a.coeffs),
+                                                  enumerate(b.coeffs)):
+            sign, word = _brute(_WORDS[ia], _WORDS[ib])
+            if sign:
+                want = want + _BASIS[_INDEX[word]] * (x * y * sign)
+        assert a * b == want, (a, b)
 
 
 def test_nilpotency_and_anticommutation():
@@ -68,7 +100,7 @@ def test_parity_additivity():
         prod = a * b
         if prod.is_zero():
             continue
-        assert prod.parity() == (a.parity() + b.parity()) % 2
+        assert _parity(prod) == (_parity(a) + _parity(b)) % 2
 
 
 def test_berezin():
@@ -84,13 +116,16 @@ def test_scalar_division_and_errors():
     assert half + half == G.eta12
     # a pure-body divisor divides every component by the body
     assert (G.eta1 + G.one) / G.from_int(2) == G.eta1 / 2 + G.one / 2
-    with pytest.raises(TypeError):
+    # an element with an invertible body is a unit
+    x = G.one + G.eta1
+    assert x * (G.one / x) == G.one
+    assert G.one / x == G.one - G.eta1
+    # a nilpotent element is not
+    with pytest.raises(ZeroDivisionError):
         G.one / G.eta12
-    with pytest.raises(TypeError):
-        G.one / (G.one + G.eta1)
 
 
 def test_parity_error_on_mixed():
     with pytest.raises(ValueError):
-        (G.one + G.eta1).parity()
+        _parity(G.one + G.eta1)
 

@@ -1,7 +1,10 @@
-"""The ring-handle protocol every coefficient ring keeps, and the generic
-engines' independence of the coefficient types."""
+"""The ring-handle protocol every coefficient ring keeps, the product-table
+laws of the nilpotent extensions, and the generic engines' independence of
+the coefficient types."""
 
 import ast
+import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -10,10 +13,12 @@ import superloewner
 from superloewner.affine import Module
 from superloewner.generator import JetRing
 from superloewner.grassmann import GrassRing
-from superloewner.scalars import COMPLEX, EXACT, rational
+from superloewner.scalars import COMPLEX, EXACT, Ring, rational
 
-RINGS = (EXACT, COMPLEX, GrassRing(EXACT),
-         JetRing(EXACT, (rational(2),) + (rational("4/5"),) * 4))
+JETS = JetRing(EXACT, (rational(2),) + (rational("4/5"),) * 4)
+NESTED = JetRing(JETS, tuple(map(JETS.lift, JETS.variances)))
+EXTENSIONS = (GrassRing(EXACT), JETS, NESTED)
+RINGS = (EXACT, COMPLEX) + EXTENSIONS
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=lambda r: r.name)
@@ -31,10 +36,49 @@ def test_ring_protocol(ring):
         assert got == ring.root.lift(want), kq
 
 
+def _draw(ring, rng):
+    """A random element of ring (EXACT or an extension of it) whose slots
+    are each zero with probability 1/2 and a small rational otherwise."""
+    if ring is EXACT:
+        return rational(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+    x = ring.zero
+    for g in (ring.one,) + ring.gens:
+        if rng.random() < 0.5:
+            x = x + g * _draw(ring.base, rng)
+    return x
+
+
+@pytest.mark.parametrize("ring", EXTENSIONS, ids=lambda r: r.name)
+def test_extension_table_laws(ring):
+    rng = random.Random(28)
+    xs = [_draw(ring, rng) for _ in range(6)]
+    commutative = ring.name.startswith("jet")
+    for x in xs:
+        assert ring.one * x == x and x * ring.one == x
+        c = _draw(ring.base, rng)
+        assert x * c == x * ring.lift(c)
+        unit = x + ring.from_int(5)  # its standard part is not zero
+        assert unit * unit.inverse() == ring.one
+        assert unit.inverse() * unit == ring.one
+        for y in xs:
+            assert (x * y == y * x) or not commutative
+            for z in xs:
+                assert (x * y) * z == x * (y * z)
+                assert x * (y + z) == x * y + x * z
+                assert (x + y) * z == x * z + y * z
+
+
+def test_extension_refuses_a_product_that_is_also_a_factor():
+    # then a product of three generators need not vanish
+    with pytest.raises(ValueError, match="b is both"):
+        Ring.extend(EXACT, ("a", "b"), {("a", "a"): (1, "b"),
+                                        ("b", "a"): (1, "a")}, "bad")
+
+
 # the engines that run over every ring
 _GENERIC = ("series", "affine", "evolution")
 _COEFFICIENT_MODULES = {"grassmann", "generator"}
-_COEFFICIENT_TYPES = {"Cyclo8", "GrassmannScalar", "ItoJet"}
+_COEFFICIENT_TYPES = {"Cyclo8", "Extension"}
 
 
 def _names(path):
@@ -58,6 +102,14 @@ def test_generic_engines_know_no_coefficient_type(name):
     for line, modules, names in _names(path):
         assert not (modules | names) & _COEFFICIENT_MODULES, (name, line)
         assert not names & _COEFFICIENT_TYPES, (name, line)
+
+
+@pytest.mark.parametrize("name", sorted(_COEFFICIENT_MODULES))
+def test_coefficient_rings_are_product_tables(name):
+    # a coefficient ring is a table over `scalars.Extension`, not a class
+    path = Path(superloewner.__file__).with_name(f"{name}.py")
+    tree = ast.parse(path.read_text())
+    assert not [n.name for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
 
 
 # the SDE and its Euler step, which every other module reaches through
