@@ -85,11 +85,21 @@ class FlowState:
         return self.rho.order
 
 
-def initial_state(order: int, ring) -> FlowState:
-    z = TailSeries.zero(order, ring)
-    return FlowState(rho=AutSeries.identity(order, ring),
-                     xE=z, xH=z, xF=z, x1e=z, x1f=z, x2e=z, x2f=z,
-                     x12E=z, x12H=z, x12F=z, t=0.0)
+def initial_state(order, ring) -> FlowState:
+    """The vacuum: rho = z and every process zero, each coefficient the
+    `ring.zero` placeholder, which every kernel skips (`series`).
+
+    order is one series order for all, or a map from "rho" and each
+    process name to its own.  Over a path batch (`COMPLEX`) a
+    coefficient becomes a (paths,) array once the flow first sets it;
+    the structural zeros and rho's a_{-1} = 2t, the same for every path,
+    stay scalars.
+    """
+    if not isinstance(order, dict):
+        order = dict.fromkeys(("rho",) + PROCESS_NAMES, order)
+    return FlowState(rho=AutSeries.identity(order["rho"], ring),
+                     **{n: TailSeries.zero(order[n], ring)
+                        for n in PROCESS_NAMES}, t=0.0)
 
 
 def sde_terms(state: FlowState, u: TailSeries, tau,
@@ -276,7 +286,8 @@ def aut_to_virasoro(rho: AutSeries) -> list:
 # -- represented state -----------------------------------------------------
 
 def _exp_apply(apply, pieces, v, max_terms: int):
-    """exp(sum c X) v as its nilpotent series, at most max_terms terms."""
+    """exp(sum c X) v as its nilpotent series, at most max_terms terms;
+    a zero term (`is_zero`: never a path-batch block) ends it early."""
     acc = term = v
     for m in range(1, max_terms + 1):
         term = apply([(op, c / m) for op, c in pieces], term)

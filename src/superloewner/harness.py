@@ -1,9 +1,12 @@
 """Run configuration, simulation drivers, and statistical harness.
 
-The Monte Carlo engine evolves all paths at once: every series
-coefficient is a complex numpy array over paths and the generic series
-code broadcasts through it, so the same `flow_step` formulas serve the
-exact tests and the batch simulation.  Gaussian increments come from
+The Monte Carlo engine evolves all paths at once from the vacuum
+`evolution.initial_state(order, COMPLEX)`: a series coefficient is a
+complex numpy array over paths once the flow sets it, and stays the
+`ring.zero` placeholder, which no kernel touches, where it never does
+(the structural zeros).  The generic series code broadcasts through
+both, so the same `flow_step` formulas serve the exact tests and the
+batch simulation.  Gaussian increments come from
 one seeded PCG64 stream per run, drawn step by step in a fixed order,
 which makes every subcommand a pure function of (config, seed): reruns
 are byte-identical.
@@ -35,7 +38,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .evolution import FlowState, PROCESS_NAMES, flow_step
+from .evolution import FlowState, PROCESS_NAMES, flow_step, initial_state
 from .matrixrep import BatchAssembler, MatrixModule
 from .observables import dual_words, observable_current
 from .scalars import COMPLEX
@@ -211,15 +214,6 @@ class BlockDrivers:
         return dict(zip(("B0", "B1", "B2", "B3", "Ba"), raw))
 
 
-def _batch_initial_state(orders: dict, paths: int) -> FlowState:
-    """The vacuum on a path batch, "rho" and each process at orders[name]."""
-    def zeros(n):
-        return [np.zeros(paths, dtype=complex) for _ in range(n)]
-    return FlowState(rho=AutSeries(zeros(orders["rho"] + 1), COMPLEX),
-                     **{n: TailSeries(zeros(orders[n]), COMPLEX)
-                        for n in PROCESS_NAMES}, t=0.0)
-
-
 @dataclass
 class Checkpoint:
     t: float
@@ -245,16 +239,16 @@ def simulate(cfg: RunConfig, start=None) -> SimResult:
     """Evolve cfg.paths coupled processes; record the checkpoint states.
 
     The increments are a seeded BlockDrivers stream.  `start` is the
-    batch state at t = 0, by default the vacuum with every series at
-    cfg.order.
+    batch state at t = 0, by default the vacuum `initial_state` with
+    every series at cfg.order.
     """
     cfg.validate()
     tau = cfg.resolved_tau()
     nsteps = int(round(cfg.t_max / cfg.dt))
     checkpoints = cfg.resolved_checkpoints()
     cp_steps = {int(round(t / cfg.dt)) for t in checkpoints if t > 0}
-    state = start if start is not None else _batch_initial_state(
-        dict.fromkeys(("rho",) + PROCESS_NAMES, cfg.order), cfg.paths)
+    state = start if start is not None else initial_state(cfg.order,
+                                                          COMPLEX)
     result = SimResult(config=cfg)
     if 0.0 in checkpoints or cfg.t_max == 0:
         result.checkpoints.append(
@@ -458,8 +452,7 @@ def martingale_test(cfg: RunConfig) -> MartingaleReport:
                           f"values at this level overflow a float") from None
     operators_s = clock() - started
     started = clock()
-    sim = simulate(cfg, start=_batch_initial_state(report.flow_orders,
-                                                   cfg.paths))
+    sim = simulate(cfg, start=initial_state(report.flow_orders, COMPLEX))
     report.timings["simulate_s"] = clock() - started
     report.timings["operators_s"] = operators_s
     report.timings["observables_s"] = []

@@ -9,11 +9,11 @@ tables of per-monomial images, cast to complex and grouped by row.
 `BatchAssembler` then runs the one assembly formula,
 `evolution.assemble`, on a (dim, paths) coefficient block; its `apply`
 back end adds, row by row, the block's entry columns times the per-path
-coefficients, and skips a piece whose coefficient is absent under the
-`series` skip rule.  Dual-word functionals become precomputed rows.  No
-assembly operator lowers depth, so the Monte Carlo builds the module only
-as deep as its dual words read (`word_depth`): the components it reads
-are the same in any deeper module.
+coefficients, and skips a piece whose coefficient `scalars.is_zero`
+calls zero (the `series` skip rule).  Dual-word functionals become
+precomputed rows.  No assembly operator lowers depth, so the Monte Carlo
+builds the module only as deep as its dual words read (`word_depth`):
+the components it reads are the same in any deeper module.
 
 The tables are built at an exact rational level k when k is given
 exactly (int, str or Fraction) or is a float equal to a rational of
@@ -30,8 +30,7 @@ import numpy as np
 
 from . import evolution
 from .affine import Module, Vector, act_mode, act_word, mode, sugawara
-from .scalars import COMPLEX, EXACT, to_complex
-from .series import _absent
+from .scalars import COMPLEX, EXACT, is_zero, to_complex
 from .superalgebra import SYMBOLS
 
 
@@ -148,7 +147,7 @@ class BatchAssembler:
         # a matrix product, with one (paths,) temporary per row
         out = np.zeros(block.shape, dtype=complex)
         for (sym, j), c in pieces:
-            if _absent(c):
+            if is_zero(c):
                 continue
             tables = self.vir if sym == evolution.VIRASORO \
                 else self.modes[sym]

@@ -14,7 +14,13 @@ operations), so a `Ring` handle carries the few constants they ask for.
 The Grassmann and Ito-jet rings are nilpotent extensions of a base ring
 (`Ring.extend`): one element class, `Extension`, and a product table per
 ring, eta1 eta2 = -eta2 eta1 = eta12 for Grassmann and
-beta_d beta_d = var_d delta for the Ito jet.
+beta_d beta_d = var_d delta for the Ito jet.  An extension may have one
+for its base (nested jets); a base element meeting an element of the
+ring built over it is lifted into that ring, on either side.
+
+`is_zero` is the one zero test, and with it the one rule for what the
+engines may skip: exact for every scalar, and never true of a numpy
+path batch, where the answer would cost a pass over the paths.
 """
 
 from __future__ import annotations
@@ -23,6 +29,8 @@ import cmath
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Union
+
+from numpy import ndarray
 
 RationalLike = Union[int, Fraction, str]
 
@@ -229,24 +237,30 @@ class Extension:
     `Ring.extend` makes one subclass per ring, so that an element holds
     only its coefficients and the ring's constants can be built before
     the ring.  The subclass holds the base ring, the basis names, `zeros`
-    (the base zero on each generator) and the table as `rows[i]`, the
-    (j, t, k) of g_i g_j = t g_k with g_0 = 1 and t None for 1.
+    (the base zero on each generator), the table as `rows[i]`, the
+    (j, t, k) of g_i g_j = t g_k with g_0 = 1 and t None for 1, and
+    `below`, the element classes of the rings under it.  An operand from
+    a ring built over this one is not a base scalar: the operator returns
+    NotImplemented, and that ring lifts this element instead.
     """
 
     __slots__ = ("coeffs",)
-    base = names = zeros = rows = None  # set on each ring's subclass
+    base = names = zeros = rows = below = None  # set on each ring's subclass
 
     def __init__(self, coeffs):
         self.coeffs = coeffs
 
     def _lift(self, v):
-        """v as an element: itself, or a base scalar times 1."""
-        if type(v) is type(self):
+        """v as an element: itself, or a base scalar times 1; an element
+        of a ring built over this one stays as it is."""
+        if type(v) is type(self) or type(self) in getattr(v, "below", ()):
             return v
         return type(self)((self.base.coerce(v),) + self.zeros)
 
     def __add__(self, other):
         o = self._lift(other)
+        if type(o) is not type(self):  # the ring over this one adds
+            return NotImplemented
         return type(self)(tuple(x + y for x, y in zip(self.coeffs, o.coeffs)))
 
     __radd__ = __add__
@@ -255,7 +269,7 @@ class Extension:
         return type(self)(tuple(-x for x in self.coeffs))
 
     def __sub__(self, other):
-        return self + -self._lift(other)
+        return self + -other
 
     def __rsub__(self, other):
         return self._lift(other) - self
@@ -263,6 +277,8 @@ class Extension:
     def __mul__(self, other):
         kind = type(self)
         if type(other) is not kind:  # a base scalar: scale each slot
+            if kind in getattr(other, "below", ()):  # a ring over this one
+                return NotImplemented
             other = kind.base.coerce(other)
             return kind(tuple(x * other for x in self.coeffs))
         # most slots are zero: skip every product with a zero factor
@@ -351,8 +367,12 @@ class Ring:
         zeros = (base.zero,) * len(names)
         kind = type(f"{name}:{base.name}", (Extension,), {
             "__slots__": (), "base": base, "names": basis, "zeros": zeros,
-            "rows": rows})
-        ring = cls.over(base, lambda v: kind((v,) + zeros), name)
+            "rows": rows,
+            "below": (type(base.zero),) + getattr(base.zero, "below", ())})
+        # the lift keeps an element and takes a value from under an
+        # extension base through that base's lift
+        ring = cls.over(base, lambda v: v if type(v) is kind else kind(
+            (base.lift(v) if base.base else v,) + zeros), name)
         ring.gens = tuple(kind(zeros[:i] + (base.one,) + zeros[i:])
                           for i in range(1, len(basis)))
         return ring
@@ -391,9 +411,17 @@ COMPLEX = Ring(
 
 
 def is_zero(c) -> bool:
-    """Zero test for any coefficient the generic engines carry."""
-    if hasattr(c, "is_zero"):
-        return c.is_zero()
-    if hasattr(c, "any"):  # numpy array coefficients
-        return not c.any()
-    return c == 0
+    """The package's one zero test, and so its skip rule.
+
+    Exact for every scalar: a `Cyclo8`, then any value with its own
+    `is_zero` (an extension element, a `Vector`, a series), then a
+    number by `== 0`.  A numpy path batch never counts as zero, because
+    finding that out costs a pass over the paths; the `ring.zero`
+    placeholders a batch series carries are scalars and do count.
+    """
+    if type(c) is Cyclo8:
+        return not any(c.n)
+    if type(c) is ndarray:
+        return False
+    test = getattr(c, "is_zero", None)
+    return c == 0 if test is None else test()

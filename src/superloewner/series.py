@@ -27,16 +27,18 @@ order zeta^{-N-1}; `series_derive` truncates it, so only the
 coefficients of zeta^{-n-1} with n <= N-1 of a derived series are
 order-exact.
 
-Skip rule: the kernels (`series_mul`, `series_exp`, `series_inv_aut`,
-`+`, `-`, `scale`, `add_scaled`) leave out a coefficient only when it is
-zero without a pass over paths (`_absent`).  A scalar -- every exact,
-Grassmann or jet element, and the `ring.zero` placeholders that
-truncation and empty product slots leave in a batch series -- is tested
-with `scalars.is_zero`; a numpy path batch is never reduced and always
-counts as present.  Adding an absent coefficient returns the other
-operand itself, not a copy, and accumulators start from their first
-term, not from `ring.zero`.  Likewise `series_mul` does not multiply by
-a factor that is the ring's own `one` object.
+Skip rule: every kernel (`series_mul`, `series_exp`, `series_inv_aut`,
+`series_derive`, `+`, `-`, `scale`, `add_scaled`) leaves out a
+coefficient that `scalars.is_zero` calls zero, and leaves an absent
+coefficient absent.  That test is exact for every scalar -- an exact,
+Grassmann or jet element, and the `ring.zero` placeholders of a batch
+series: the vacuum's, the flow's structural zeros that stay them, and
+those truncation and empty product slots leave -- and never reduces a
+numpy path batch, which always counts as present.  Adding an absent
+coefficient returns the other operand itself, not a copy, and
+accumulators start from their first term, not from `ring.zero`.
+Likewise `series_mul` does not multiply by a factor that is the ring's
+own `one` object.
 
 Ownership rule: a kernel adds or scales in place (`+=`, `*=`) only into
 a value it made itself in the same call -- a product or a scaled copy --
@@ -63,8 +65,6 @@ complex negation costs several multiplies.
 
 from __future__ import annotations
 
-from numpy import ndarray
-
 from .scalars import is_zero
 
 
@@ -77,22 +77,17 @@ def _check(a, b):
         raise SeriesOrderError(f"order mismatch: {a.order} vs {b.order}")
 
 
-def _absent(c) -> bool:
-    """The skip rule: c is a zero found without a pass over paths."""
-    return type(c) is not ndarray and is_zero(c)
-
-
 def _add(x, y):
-    if _absent(y):
+    if is_zero(y):
         return x
-    return y if _absent(x) else x + y
+    return y if is_zero(x) else x + y
 
 
 def _add_into(acc, x):
     """acc + x, written into acc: the caller made acc in this call."""
-    if _absent(x):
+    if is_zero(x):
         return acc
-    if _absent(acc):
+    if is_zero(acc):
         return x
     acc += x
     return acc
@@ -125,7 +120,7 @@ class TailSeries:
         return TailSeries(map(_add, self.coeffs, other.coeffs), self.ring)
 
     def __sub__(self, other):
-        return TailSeries([x if _absent(y) else -y if _absent(x) else x - y
+        return TailSeries([x if is_zero(y) else -y if is_zero(x) else x - y
                            for x, y in zip(self.coeffs, other.coeffs)],
                           self.ring)
 
@@ -133,12 +128,12 @@ class TailSeries:
         return TailSeries([-x for x in self.coeffs], self.ring)
 
     def scale(self, s):
-        return TailSeries([c if _absent(c) else c * s for c in self.coeffs],
+        return TailSeries([c if is_zero(c) else c * s for c in self.coeffs],
                           self.ring)
 
     def add_scaled(self, other, s):
         """self + other * s, adding self into the fresh products."""
-        return TailSeries([x if _absent(y) else _add_into(y * s, x)
+        return TailSeries([x if is_zero(y) else _add_into(y * s, x)
                            for x, y in zip(self.coeffs, other.coeffs)],
                           self.ring)
 
@@ -250,9 +245,9 @@ def series_mul(a: TailSeries, b: TailSeries, plus=None) -> TailSeries:
     one = a.ring.one
     out = [None] * n
     made = [False] * n      # out[k] was made in this call
-    bs = [None if _absent(cb) else cb for cb in b.coeffs[:n - 1]]
+    bs = [None if is_zero(cb) else cb for cb in b.coeffs[:n - 1]]
     for i, ca in enumerate(a.coeffs[:n - 1]):
-        if _absent(ca):
+        if is_zero(ca):
             continue
         # zeta^{-(i+1)} * zeta^{-(j+1)} = zeta^{-(i+j+2)}
         for j, cb in enumerate(bs[:n - i - 1]):
@@ -282,13 +277,13 @@ def series_inv_aut(rho: AutSeries) -> TailSeries:
     """
     ring = rho.ring
     minus = ring.from_int(-1)
-    nt = [c if _absent(c) else c * minus       # -t_k
+    nt = [c if is_zero(c) else c * minus       # -t_k
           for c in rho.coeffs[:rho.order - 1]]
     w = [ring.one]
     for n in range(1, rho.order):
         acc = ring.zero
         for k in range(1, n):
-            if not (_absent(nt[k - 1]) or _absent(w[n - k])):
+            if not (is_zero(nt[k - 1]) or is_zero(w[n - k])):
                 acc = _add_into(acc, nt[k - 1] * w[n - k])
         w.append(_add_into(acc, nt[n - 1]))    # the k = n term, w_0 = 1
     return TailSeries(w, ring)
@@ -308,12 +303,12 @@ def series_exp(a: TailSeries) -> ExpSeries:
         acc = ring.zero
         for k in range(1, n):
             ak, em = a.coeffs[k - 1], e[n - k - 1]
-            if _absent(ak) or _absent(em):
+            if is_zero(ak) or is_zero(em):
                 continue
             if k not in ka:
                 ka[k] = ak if k == 1 else ak * ring.from_int(k)
             acc = _add_into(acc, ka[k] * em)
-        if not _absent(acc):
+        if not is_zero(acc):
             acc *= ring.one / n     # acc is a sum of products made here
         e.append(_add_into(acc, an))
     return ExpSeries(TailSeries(e, ring))
@@ -323,8 +318,9 @@ def series_derive(a: TailSeries) -> TailSeries:
     """Term-wise d/dz: zeta^{-j} -> -j zeta^{-j-1}; top term dropped."""
     ring = a.ring
     out = [ring.zero] * a.order
-    for j in range(1, a.order):  # source power -j lands at -(j+1)
-        out[j] = a.coeffs[j - 1] * ring.from_int(-j)
+    for j, c in enumerate(a.coeffs[:-1], start=1):  # -j lands at -(j+1)
+        if not is_zero(c):
+            out[j] = c * ring.from_int(-j)
     return TailSeries(out, ring)
 
 
@@ -337,7 +333,7 @@ def substitute(a: TailSeries, rho: AutSeries) -> TailSeries:
     for j in range(1, a.order + 1):
         upow = u if upow is None else series_mul(upow, u)
         c = a.coeffs[j - 1]
-        if not _absent(c):
+        if not is_zero(c):
             out = out.add_scaled(upow, c)
     return out
 
@@ -353,6 +349,9 @@ def aut_compose(rho: AutSeries, mu: AutSeries) -> AutSeries:
 
 
 def series_equal(a, b) -> bool:
+    """Coefficientwise equality by `is_zero` of the difference: exact
+    for scalars, and false wherever a coefficient is a path batch, which
+    it does not reduce."""
     if type(a) is not type(b) or a.order != b.order:
         return False
     ca = a.coeffs if not isinstance(a, ExpSeries) else a.tail.coeffs

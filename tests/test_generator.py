@@ -2,6 +2,7 @@ import dataclasses
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from superloewner.affine import (Module, Vector, act_mode, act_word,
@@ -10,8 +11,9 @@ from superloewner.evolution import (DRIVERS, PROCESS_NAMES, VIRASORO,
                                     FlowState, assemble, assemble_state_vector,
                                     dict_apply, flow_step, initial_state)
 from superloewner.generator import DELTA, JetRing, jet_state, state_drift
+from superloewner.harness import BlockDrivers
 from superloewner.observables import observable_current
-from superloewner.scalars import EXACT, is_zero, rational
+from superloewner.scalars import COMPLEX, EXACT, is_zero, rational
 from superloewner.series import AutSeries, TailSeries
 from superloewner.superalgebra import SYMBOLS
 
@@ -218,6 +220,43 @@ def test_structural_zeros_on_reachable_states(variant):
             assert all(coeffs[j - 1] == R.zero for j in js), (seed, name)
             # the next coefficient does move
             assert coeffs[js[-1]] != R.zero, (seed, name)
+
+
+def _zero_array_vacuum(order, paths):
+    """The batch vacuum as (paths,) zero arrays, the reference of the
+    `ring.zero` placeholder vacuum."""
+    def zeros(n):
+        return [np.zeros(paths, dtype=complex) for _ in range(n)]
+    return FlowState(rho=AutSeries(zeros(order + 1), COMPLEX),
+                     **{n: TailSeries(zeros(order), COMPLEX)
+                        for n in PROCESS_NAMES})
+
+
+@pytest.mark.parametrize("variant", ["derived", "displayed"])
+def test_placeholder_vacuum_keeps_the_structural_zeros(variant):
+    # the batch flow from placeholders equals the zero-array flow bit for
+    # bit, and what it leaves unset is the table above plus rho's
+    # a_{-1} = 2t, which is the same on every path
+    paths, dt, tau = 50, 1e-3, 0.8
+    drivers = BlockDrivers(7, paths, dt, 2.0, tau)
+    ref, got = _zero_array_vacuum(4, paths), initial_state(4, COMPLEX)
+    for _ in range(20):
+        incs = drivers.step()
+        ref = flow_step(ref, dt, incs, tau, variant=variant)
+        got = flow_step(got, dt, incs, tau, variant=variant)
+    placeholders = set()
+    for name in ("rho",) + PROCESS_NAMES:
+        first = 0 if name == "rho" else 1    # a_0, or zeta^{-1}
+        pairs = zip(getattr(ref, name).coeffs, getattr(got, name).coeffs)
+        for j, (r, g) in enumerate(pairs, start=first):
+            if not isinstance(g, np.ndarray):
+                placeholders.add((name, j))
+            assert np.broadcast_to(g, r.shape).tobytes() == r.tobytes(), \
+                (name, j)
+    want = {(name, j) for name, js in _STRUCTURAL_ZEROS[variant].items()
+            for j in js}
+    assert placeholders == want | {("rho", 1)}
+    assert got.t == ref.t
 
 
 @pytest.mark.parametrize("kq,kapq", [("1", "2"), ("1/2", "8/3")])

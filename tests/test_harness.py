@@ -11,13 +11,14 @@ import pytest
 
 import superloewner
 from superloewner import cli, harness
-from superloewner.evolution import PROCESS_NAMES, flow_step
+from superloewner.evolution import flow_step, initial_state
 from superloewner.harness import (BlockDrivers, ConfigError,
                                   MartingaleCell, MartingaleReport, RunConfig,
                                   martingale_seed_suite, martingale_test,
                                   parse_config_file, simulate,
                                   trajectory_columns, trajectory_rows,
                                   write_csv)
+from superloewner.scalars import COMPLEX
 from superloewner.series import SeriesOrderError
 
 
@@ -336,7 +337,7 @@ def test_flow_step_refuses_to_shorten_a_process(variant):
     # silent truncation would pad x12F's zeta^{-3} coefficient with 0
     orders = harness._flow_orders(small_cfg()) | {"x2f": 2}
     assert orders["x12F"] == 3
-    state = harness._batch_initial_state(orders, 3)
+    state = initial_state(orders, COMPLEX)
     incs = BlockDrivers(1, 3, 1e-3, 2.0, 0.8).step()
     with pytest.raises(SeriesOrderError, match="x12F"):
         flow_step(state, 1e-3, incs, 0.8, variant=variant)
@@ -358,12 +359,11 @@ def test_dt_halving_weak_consistency():
     coarse = [{k: fine[2 * i][k] + fine[2 * i + 1][k]
                for k in fine[0]} for i in range(20)]
     from superloewner.harness import (BatchAssembler, MatrixModule,
-                                      _batch_initial_state, batch_observables)
+                                      batch_observables)
     cfg_c = dataclasses.replace(cfg_f, dt=1e-3)
 
     def evolve(cfg, increments):
-        state = _batch_initial_state(
-            dict.fromkeys(("rho",) + PROCESS_NAMES, cfg.order), cfg.paths)
+        state = initial_state(cfg.order, COMPLEX)
         for incs in increments:
             state = flow_step(state, cfg.dt, incs, tau, variant=cfg.variant)
         return state

@@ -7,13 +7,15 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import superloewner
-from superloewner.affine import Module
+from superloewner.affine import Module, Vector
 from superloewner.generator import JetRing
 from superloewner.grassmann import GrassRing
-from superloewner.scalars import COMPLEX, EXACT, Ring, rational
+from superloewner.scalars import (COMPLEX, EXACT, Cyclo8, Ring, is_zero,
+                                  rational)
 
 JETS = JetRing(EXACT, (rational(2),) + (rational("4/5"),) * 4)
 NESTED = JetRing(JETS, tuple(map(JETS.lift, JETS.variances)))
@@ -57,6 +59,11 @@ def test_extension_table_laws(ring):
         assert ring.one * x == x and x * ring.one == x
         c = _draw(ring.base, rng)
         assert x * c == x * ring.lift(c)
+        # a base element on the left defers to the ring built over it
+        assert c * x == ring.lift(c) * x
+        assert c + x == ring.lift(c) + x
+        assert c - x == ring.lift(c) - x
+        assert type(c * x) is type(c + x) is type(c - x) is type(x)
         unit = x + ring.from_int(5)  # its standard part is not zero
         assert unit * unit.inverse() == ring.one
         assert unit.inverse() * unit == ring.one
@@ -66,6 +73,36 @@ def test_extension_table_laws(ring):
                 assert (x * y) * z == x * (y * z)
                 assert x * (y + z) == x * y + x * z
                 assert (x + y) * z == x * z + y * z
+
+
+def test_nested_lift_and_root_scaling():
+    # a root value reaches the nested ring through the jet ring
+    one = NESTED.lift(EXACT.one)
+    assert all(type(c) is type(JETS.zero) for c in one.coeffs)
+    assert one == NESTED.one
+    # a root scalar scales each slot, on either side
+    x = _draw(NESTED, random.Random(44)) + NESTED.gens[0]
+    r = rational("-3/7")
+    for got in (x * r, r * x):
+        assert type(got) is type(x)
+        assert got.coeffs == tuple(c * r for c in x.coeffs)
+
+
+@pytest.mark.parametrize("zero", [0, 0j, Fraction(0), Cyclo8(0)]
+                         + [ring.zero for ring in EXTENSIONS]
+                         + [Vector(Module(EXACT, rational(1), 2), {})],
+                         ids=lambda v: type(v).__name__)
+def test_is_zero_is_exact_for_every_scalar(zero):
+    assert is_zero(zero)
+
+
+@pytest.mark.parametrize("value", [np.zeros(3), 1, 1j, Fraction(1, 3),
+                                   rational("1/3"), JETS.gens[0],
+                                   NESTED.lift(JETS.gens[1])],
+                         ids=lambda v: type(v).__name__)
+def test_is_zero_is_false_for_a_path_batch_and_a_nonzero(value):
+    # a numpy path batch is never reduced, even when it is all zeros
+    assert not is_zero(value)
 
 
 def test_extension_refuses_a_product_that_is_also_a_factor():
@@ -82,9 +119,12 @@ _COEFFICIENT_TYPES = {"Cyclo8", "Extension"}
 
 
 def _names(path):
-    """(line, modules, names) of every import, name and attribute."""
+    """(line, modules, names) of every import, definition, name and
+    attribute."""
     for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.Import):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.lineno, set(), {node.name}
+        elif isinstance(node, ast.Import):
             yield node.lineno, {a.name.rsplit(".", 1)[-1]
                                 for a in node.names}, set()
         elif isinstance(node, ast.ImportFrom):
@@ -124,3 +164,22 @@ def test_only_evolution_states_the_sde():
             continue
         for line, _, names in _names(path):
             assert not names & _FLOW_INTERNALS, (path.stem, line)
+
+
+# scalars.is_zero is the one zero test and so the one skip rule
+_RETIRED_ZERO_TESTS = {"_absent"}
+
+
+def test_one_zero_test():
+    # nothing defines or imports `_absent`, or probes for an is_zero method
+    package = Path(superloewner.__file__).parent
+    for path in sorted(package.glob("*.py")) + sorted(
+            Path(__file__).parent.glob("*.py")):
+        for line, _, names in _names(path):
+            assert not names & _RETIRED_ZERO_TESTS, (path.name, line)
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and \
+                    getattr(node.func, "id", None) == "hasattr":
+                assert "is_zero" not in [getattr(a, "value", None)
+                                         for a in node.args], \
+                    (path.name, node.lineno)

@@ -15,14 +15,14 @@ ONE = R.one
 
 def tail(coeffs, order=None):
     order = order or len(coeffs)
-    cs = [rational(c) if not hasattr(c, "is_zero") else c for c in coeffs]
+    cs = [c if isinstance(c, Cyclo8) else rational(c) for c in coeffs]
     cs += [R.zero] * (order - len(cs))
     return TailSeries(cs, R)
 
 
 def aut(coeffs, order=None):
     order = (order or len(coeffs) - 1)
-    cs = [rational(c) if not hasattr(c, "is_zero") else c for c in coeffs]
+    cs = [c if isinstance(c, Cyclo8) else rational(c) for c in coeffs]
     cs += [R.zero] * (order + 1 - len(cs))
     return AutSeries(cs, R)
 
